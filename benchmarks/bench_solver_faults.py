@@ -1,19 +1,15 @@
-"""Fault-tolerant solver: supervision overhead and recovery cost.
+"""Fault-tolerant solver: recovery cost.
 
-Three claims about the shard supervisor (repro.robustness), measured on
-the same 24-state KBP as the solver speedup bench:
+Two claims about the shard supervisor (repro.robustness), measured on the
+same 24-state KBP as the solver speedup bench:
 
-* **overhead** — the supervised sweep (leases, deadlines, the FaultLog)
-  costs ≤5% over the PR-3 bare loop (``FaultPolicy.off()``) when nothing
-  goes wrong;
 * **recovery** — a worker crash mid-sweep is retried and the report is
   byte-identical to the fault-free one;
 * **resume** — a killed checkpointed solve resumes without re-checking
   journaled candidates.
 
-Set ``SOLVER_FAULTS_BENCH_QUICK=1`` for CI smoke runs (smaller sweep; the
-overhead ceiling is only asserted full-size, where pool startup noise is
-amortized).  Results append to ``BENCH_solver_faults.json``.
+Set ``SOLVER_FAULTS_BENCH_QUICK=1`` for CI smoke runs (smaller sweep).
+Results append to ``BENCH_solver_faults.json``.
 """
 
 import json
@@ -25,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import solve_si_parallel
-from repro.robustness import FaultPlan, FaultPolicy, verify_journal
+from repro.robustness import FaultPlan, verify_journal
 
 from .bench_kbp_solver import _speedup_kbp
 from .conftest import once, record
@@ -37,7 +33,6 @@ _QUICK = os.environ.get("SOLVER_FAULTS_BENCH_QUICK") == "1"
 #: Free state-bits of the sweep: 2^14 candidates full, 2^10 quick.
 _FREE_BITS = 10 if _QUICK else 14
 _WORKERS = 8
-_OVERHEAD_CEILING = 0.05
 
 
 def _program():
@@ -48,49 +43,6 @@ def _same(a, b) -> bool:
     return a.candidates_checked == b.candidates_checked and tuple(
         p.mask for p in a.solutions
     ) == tuple(p.mask for p in b.solutions)
-
-
-def test_supervision_overhead(benchmark):
-    """Fault-free supervised sweep vs the PR-3 bare loop: ≤5% slower."""
-    program = _program()
-
-    def timed(policy):
-        # Best-of-3: each run pays its own pool startup, so the minimum
-        # isolates the steady-state sweep the ceiling is a claim about.
-        best, report = float("inf"), None
-        for _ in range(1 if _QUICK else 3):
-            start = time.perf_counter()
-            report = solve_si_parallel(
-                program, workers=_WORKERS, fault_policy=policy
-            )
-            best = min(best, time.perf_counter() - start)
-        return best, report
-
-    def run():
-        bare_s, bare = timed(FaultPolicy.off())
-        supervised_s, supervised = timed(FaultPolicy())
-        return bare_s, bare, supervised_s, supervised
-
-    bare_s, bare, supervised_s, supervised = once(benchmark, run)
-    assert _same(bare, supervised)
-    assert supervised.fault_log is not None and supervised.fault_log.clean
-    overhead = supervised_s / bare_s - 1.0
-    if not _QUICK:
-        assert overhead <= _OVERHEAD_CEILING, (
-            f"supervision costs {overhead:.1%} over the bare loop "
-            f"(ceiling {_OVERHEAD_CEILING:.0%} on 2^{_FREE_BITS} candidates)"
-        )
-    _RESULTS["free_bits"] = _FREE_BITS
-    _RESULTS["workers"] = _WORKERS
-    _RESULTS["quick"] = _QUICK
-    _RESULTS["supervision_overhead"] = round(overhead, 4)
-    record(
-        benchmark,
-        candidates=bare.candidates_checked,
-        bare_s=round(bare_s, 3),
-        supervised_s=round(supervised_s, 3),
-        supervision_overhead=round(overhead, 4),
-    )
 
 
 def test_crash_recovery_identical(benchmark):
@@ -152,6 +104,9 @@ def _write_trajectory() -> None:
         "bench": "solver_faults",
         "timestamp": round(time.time()),
         "space": 24,
+        "free_bits": _FREE_BITS,
+        "workers": _WORKERS,
+        "quick": _QUICK,
         **_RESULTS,
     }
     try:

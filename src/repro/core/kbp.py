@@ -42,11 +42,6 @@ from ..transformers import sp_program, sst
 from ..unity import Knowledge, Program
 from .knowledge import KnowledgeOperator
 
-#: Backward-compatible alias of the unified ``solver`` limit's *default*
-#: (``repro.predicates.limits``; override with ``REPRO_MAX_SOLVER_STATES``
-#: or ``set_limit('solver', ...)`` — the guards consult the live value).
-MAX_EXHAUSTIVE_STATES = limits.get_limit("solver")
-
 #: ``solve_si(parallel="auto")`` switches to the sharded solver when at
 #: least this many state-bits are free (2^12 candidates and up — below
 #: that, process/plan setup costs more than the serial sweep).
@@ -215,7 +210,7 @@ class SolveReport:
     solutions: Tuple[Predicate, ...]
     candidates_checked: int
     certificate: Optional[object] = None
-    #: :class:`repro.robustness.FaultLog` from supervised parallel sweeps —
+    #: :class:`repro.robustness.FaultLog` from sharded parallel sweeps —
     #: ``None`` for serial solves; ``fault_log.clean`` means no faults fired.
     fault_log: Optional[object] = None
     #: :class:`repro.core.transport.DispatchStats` from multiprocess sweeps —
@@ -318,7 +313,7 @@ def solve_si(
     ``parallel="never"`` is an error.  So is ``progress`` — a callback
     receiving :class:`~repro.robustness.SolveProgress` ticks (one per
     resumed batch, one per completed shard, in journal order) from the
-    supervised sharded sweep.
+    sharded sweep.
 
     With ``emit_certificate=True`` the report carries a full eq.-(25)
     certificate: each candidate's resolution plus either the sst chain

@@ -63,8 +63,9 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 READ_DEADLINE = 600.0
 
 #: Worker protocol tag, echoed in attach handshakes.  /2 added the
-#: mandatory hello/auth handshake ahead of ``attach``.
-WORKER_PROTOCOL = "repro-worker/2"
+#: mandatory hello/auth handshake ahead of ``attach``; /3 made the attach
+#: body a pickled :class:`~repro.core.parallel.SweepSpec` (was a dict).
+WORKER_PROTOCOL = "repro-worker/3"
 
 #: Shared-secret knob for the worker protocol: both the daemon and the
 #: coordinator read it (the daemon also takes ``--key-file``).  Any

@@ -16,6 +16,13 @@ Gray-code order — consecutive candidates differ in exactly one state — so
 the per-worker :class:`~repro.core.kbp.CandidateResolver` term and
 operational caches get maximal reuse on the fallback path.
 
+**One sweep, one dispatch loop.**  A solve is described once, by a
+picklable :class:`SweepSpec`; wherever a shard is swept — a pool process,
+a ``python -m repro.worker`` session, or in-process — a
+:class:`ShardSweep` built from that spec runs it.  Every sweep, in-process
+or multiprocess, is driven by :class:`repro.robustness.ShardSupervisor`
+over a transport from :mod:`repro.core.transport`.
+
 **Batching.**  When the program is *batchable* — every knowledge term
 non-nested, knowledge only in guards, guards Boolean over terms and
 knowledge-free leaves — :func:`compile_phi_plan` freezes Φ into a
@@ -29,7 +36,7 @@ collapses into a handful of array ops per batch.
 Exactness: the merged report is bit-identical to the serial sweep — the
 same sorted ``solutions``, the same ``candidates_checked``, and (with
 ``emit_certificate=True``) the same per-candidate evidence in the same
-order, so PR-2 certificates replay unchanged.  Certified sweeps skip the
+order, so certificates replay unchanged.  Certified sweeps skip the
 batched kernel and run the per-candidate evidence path inside each shard;
 the merge re-sorts evidence into the serial enumeration order (strictly
 descending free-bit submask).
@@ -44,8 +51,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..predicates import Predicate
@@ -62,13 +68,19 @@ from ..predicates.backends.batch import (
     StatementPlan,
     TermPlan,
 )
+from ..robustness import (
+    FaultLog,
+    FaultPlan,
+    FaultPolicy,
+    ShardJournal,
+    ShardSupervisor,
+)
 from ..statespace import State
 from ..unity import Program
 from ..unity.expressions import Binary, Ite, Knowledge, Unary
 from .transport import (
     DispatchStats,
     LocalPoolTransport,
-    ShardLeaseRevoked,
     SocketTransport,
     SocketTransportError,
     parse_address,
@@ -361,180 +373,204 @@ def assignment_mask(positions: Sequence[int], assignment: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# per-shard sweep (runs in workers; also in-process when workers == 1)
+# the shard sweep (one per solve; in a pool process, a worker daemon's
+# session, or in-process for workers == 1 and the serial fallback)
 # ----------------------------------------------------------------------
 
-#: Per-process solver state, set by :func:`_init_worker` (or directly by the
-#: in-process path).  A plain dict: fork-started workers inherit nothing
-#: stale because the initializer always overwrites every key.
-_WORKER: Dict[str, Any] = {}
 
+@dataclass(frozen=True)
+class SweepSpec:
+    """The picklable description of one solve's shard sweep.
 
-def _init_worker(
-    program: Program,
-    base_mask: int,
-    low_positions: List[int],
-    emit_certificate: bool,
-    any_solution: bool,
-    batch_size: int,
-    fault_plan: Optional[Any] = None,
-    backend_selection: Optional[str] = None,
-    arena_spec: Optional[Any] = None,
-    has_plan: bool = True,
-    plan: Optional[PhiPlan] = None,
-) -> None:
-    """Per-process solver setup, spawn-start-method clean.
-
-    Everything arrives by value through initargs except the Φ plan's bulk
-    data: with ``arena_spec`` set the worker *re-attaches by segment name*
-    and evaluates through zero-copy views (no plan recompilation, no
-    pickled successor arrays).  Without one — arena disabled, or the
-    program not batchable — the worker compiles its own plan as before.
+    The one thing that crosses into a sweeping process: a local pool gets
+    it as its initializer argument, a socket worker as its ``attach``
+    payload, and the in-process runner builds from it too.  Everything is
+    by value except the Φ plan's bulk data — ``has_plan`` says the parent
+    compiled one (so the sweep is batched), and a worker maps it by name
+    from ``arena_spec``, compiles it, or receives it.
     ``backend_selection`` replays the parent's backend choice, which a
     spawned child would otherwise lose (the selection is process-global
-    state, not environment).  The resolver is built lazily: batched arena
-    sweeps never need one unless a poisoned candidate forces the exact
-    serial re-run.
+    state, not environment).
     """
-    if backend_selection is not None:
-        set_default_backend(backend_selection)
-    if plan is not None:
-        # A shipped plan (the socket worker's payload-fallback path) wins:
-        # nothing to attach, nothing to recompile.
-        pass
-    elif emit_certificate or not has_plan:
-        plan = None
-    elif arena_spec is not None:
-        plan = arena_spec.attach(program.space)
-    else:
-        plan = compile_phi_plan(program)
-    _WORKER.clear()
-    _WORKER.update(
-        program=program,
-        resolver=None,
-        plan=plan,
-        backend=batch_backend_for(program.space.size, batch_size)
-        if plan is not None
-        else None,
-        base_mask=base_mask,
-        low_positions=low_positions,
-        emit_certificate=emit_certificate,
-        any_solution=any_solution,
-        batch_size=batch_size,
-        fault_plan=fault_plan,
-    )
+
+    program: Program
+    base_mask: int
+    low_positions: Tuple[int, ...]
+    emit_certificate: bool
+    any_solution: bool
+    batch_size: int
+    fault_plan: Optional[Any] = None
+    backend_selection: Optional[str] = None
+    arena_spec: Optional[Any] = None
+    has_plan: bool = False
 
 
-def _worker_resolver():
-    """The process's :class:`CandidateResolver`, built on first use."""
-    resolver = _WORKER.get("resolver")
-    if resolver is None:
-        from .kbp import CandidateResolver
+class ShardSweep:
+    """One solve's per-shard sweep: ``run(index, fixed_mask)``.
 
-        resolver = CandidateResolver(_WORKER["program"])
-        _WORKER["resolver"] = resolver
-    return resolver
-
-
-def _shard_candidates(fixed_mask: int) -> Iterator[int]:
-    base = _WORKER["base_mask"] | fixed_mask
-    for gray in gray_masks(_WORKER["low_positions"]):
-        yield base | gray
-
-
-def _sweep_shard(
-    shard_index: int, fixed_mask: int
-) -> Tuple[List[int], int, List[Tuple[str, Any]]]:
-    """One shard's sweep: ``(solution_masks, candidates_checked, evidence)``.
-
-    Evidence is empty unless the worker was initialized with
-    ``emit_certificate``; with ``any_solution`` the walk stops at the first
-    solution (the returned count is then partial, as documented).  When a
-    fault plan was threaded through :func:`_init_worker`, its worker-side
-    clauses fire here — ``crash``/``hang`` before the sweep, ``delay``
-    after it (a valid result arriving late).
+    Built from a :class:`SweepSpec` plus the plan its host acquired —
+    parent-compiled, arena-attached, worker-compiled or shipped — or
+    ``None`` for the per-candidate paths.  The resolver is built on first
+    use: batched sweeps need one only when a poisoned candidate forces
+    the exact serial re-run.  Instances share nothing, so concurrent
+    in-process solves never see each other's sweep.
     """
-    fault_plan = _WORKER.get("fault_plan")
-    if fault_plan is not None:
-        fault_plan.before_shard(shard_index)
-    if _WORKER["emit_certificate"]:
-        result = _sweep_shard_certified(fixed_mask)
-    elif _WORKER["plan"] is not None:
-        result = _sweep_shard_batched(fixed_mask)
-    else:
-        result = _sweep_shard_resolver(fixed_mask)
-    if fault_plan is not None:
-        fault_plan.after_shard(shard_index)
-    return result
+
+    def __init__(
+        self,
+        spec: SweepSpec,
+        plan: Optional[PhiPlan] = None,
+        resolver: Optional[Any] = None,
+    ):
+        self.spec = spec
+        self.plan = plan
+        self.backend = (
+            batch_backend_for(spec.program.space.size, spec.batch_size)
+            if plan is not None
+            else None
+        )
+        self._resolver = resolver
+
+    @property
+    def resolver(self):
+        """The sweep's :class:`CandidateResolver`, built on first use."""
+        if self._resolver is None:
+            from .kbp import CandidateResolver
+
+            self._resolver = CandidateResolver(self.spec.program)
+        return self._resolver
+
+    def close(self) -> None:
+        """Unmap an arena-attached plan (other plans hold no mapping)."""
+        close = getattr(self.plan, "close", None)
+        if close is not None:
+            close()
+
+    def run(
+        self, index: int, fixed_mask: int
+    ) -> Tuple[List[int], int, List[Tuple[str, Any]]]:
+        """One shard's sweep: ``(solution_masks, candidates_checked, evidence)``.
+
+        Evidence is empty unless the spec asks for a certificate; with
+        ``any_solution`` the walk stops at the first solution (the returned
+        count is then partial, as documented).  The spec's fault plan, if
+        any, fires its worker-side clauses here — ``crash``/``hang`` before
+        the sweep, ``delay`` after it (a valid result arriving late).
+        """
+        fault_plan = self.spec.fault_plan
+        if fault_plan is not None:
+            fault_plan.before_shard(index)
+        if self.spec.emit_certificate:
+            result = self._certified(fixed_mask)
+        elif self.plan is not None:
+            result = self._batched(fixed_mask)
+        else:
+            result = self._resolved(fixed_mask)
+        if fault_plan is not None:
+            fault_plan.after_shard(index)
+        return result
+
+    def _candidates(self, fixed_mask: int) -> Iterator[int]:
+        base = self.spec.base_mask | fixed_mask
+        for gray in gray_masks(self.spec.low_positions):
+            yield base | gray
+
+    def _batched(self, fixed_mask: int):
+        plan = self.plan
+        backend = self.backend
+        any_solution = self.spec.any_solution
+        batch_size = self.spec.batch_size
+        space = self.spec.program.space
+        solutions: List[int] = []
+        checked = 0
+        block: List[int] = []
+
+        def flush(block: List[int]) -> bool:
+            try:
+                phis = backend.batch_phi(plan, block)
+            except BatchPoisonError:
+                # Some candidate enables a statement outside its domain;
+                # the serial resolver raises the original error for it.
+                resolver = self.resolver
+                phis = [resolver.phi(Predicate(space, m)).mask for m in block]
+            solutions.extend(m for m, value in zip(block, phis) if value == m)
+            return any_solution and bool(solutions)
+
+        for mask in self._candidates(fixed_mask):
+            block.append(mask)
+            checked += 1
+            if len(block) >= batch_size:
+                if flush(block):
+                    return solutions, checked, []
+                block = []
+        if block:
+            flush(block)
+        return solutions, checked, []
+
+    def _resolved(self, fixed_mask: int):
+        resolver = self.resolver
+        space = self.spec.program.space
+        any_solution = self.spec.any_solution
+        solutions: List[int] = []
+        checked = 0
+        for mask in self._candidates(fixed_mask):
+            checked += 1
+            candidate = Predicate(space, mask)
+            if resolver.phi(candidate) == candidate:
+                solutions.append(mask)
+                if any_solution:
+                    break
+        return solutions, checked, []
+
+    def _certified(self, fixed_mask: int):
+        from .kbp import _candidate_evidence
+
+        resolver = self.resolver
+        space = self.spec.program.space
+        any_solution = self.spec.any_solution
+        solutions: List[int] = []
+        checked = 0
+        evidence: List[Tuple[str, Any]] = []
+        for mask in self._candidates(fixed_mask):
+            checked += 1
+            kind, payload = _candidate_evidence(resolver, Predicate(space, mask))
+            evidence.append((kind, payload))
+            if kind == "solution":
+                solutions.append(mask)
+                if any_solution:
+                    break
+        return solutions, checked, evidence
 
 
-def _sweep_shard_batched(fixed_mask: int):
-    plan: PhiPlan = _WORKER["plan"]
-    backend = _WORKER["backend"]
-    any_solution = _WORKER["any_solution"]
-    batch_size = _WORKER["batch_size"]
-    solutions: List[int] = []
-    checked = 0
-    block: List[int] = []
-
-    def flush(block: List[int]) -> bool:
-        try:
-            phis = backend.batch_phi(plan, block)
-        except BatchPoisonError:
-            # Some candidate enables a statement outside its domain; the
-            # serial resolver raises the original error for it.
-            resolver = _worker_resolver()
-            space = _WORKER["program"].space
-            phis = [resolver.phi(Predicate(space, m)).mask for m in block]
-        solutions.extend(m for m, value in zip(block, phis) if value == m)
-        return any_solution and bool(solutions)
-
-    for mask in _shard_candidates(fixed_mask):
-        block.append(mask)
-        checked += 1
-        if len(block) >= batch_size:
-            if flush(block):
-                return solutions, checked, []
-            block = []
-    if block:
-        flush(block)
-    return solutions, checked, []
+#: The pool process's sweep, set by :func:`_init_worker`.  The one
+#: per-process instance left: a pool process serves exactly one solve.
+_POOL_SWEEP: Optional[ShardSweep] = None
 
 
-def _sweep_shard_resolver(fixed_mask: int):
-    resolver = _worker_resolver()
-    space = _WORKER["program"].space
-    any_solution = _WORKER["any_solution"]
-    solutions: List[int] = []
-    checked = 0
-    for mask in _shard_candidates(fixed_mask):
-        checked += 1
-        candidate = Predicate(space, mask)
-        if resolver.phi(candidate) == candidate:
-            solutions.append(mask)
-            if any_solution:
-                break
-    return solutions, checked, []
+def _init_worker(spec: SweepSpec) -> None:
+    """Pool-process initializer, spawn-start-method clean.
+
+    Replays the parent's backend choice, gets the plan — re-attached by
+    segment name from the arena (zero-copy views, no recompilation, no
+    pickled successor arrays), or compiled locally with arenas off — and
+    builds the process's :class:`ShardSweep`.
+    """
+    global _POOL_SWEEP
+    if spec.backend_selection is not None:
+        set_default_backend(spec.backend_selection)
+    plan = None
+    if spec.has_plan:
+        plan = (
+            spec.arena_spec.attach(spec.program.space)
+            if spec.arena_spec is not None
+            else compile_phi_plan(spec.program)
+        )
+    _POOL_SWEEP = ShardSweep(spec, plan)
 
 
-def _sweep_shard_certified(fixed_mask: int):
-    from .kbp import _candidate_evidence
-
-    resolver = _worker_resolver()
-    space = _WORKER["program"].space
-    any_solution = _WORKER["any_solution"]
-    solutions: List[int] = []
-    checked = 0
-    evidence: List[Tuple[str, Any]] = []
-    for mask in _shard_candidates(fixed_mask):
-        checked += 1
-        kind, payload = _candidate_evidence(resolver, Predicate(space, mask))
-        evidence.append((kind, payload))
-        if kind == "solution":
-            solutions.append(mask)
-            if any_solution:
-                break
-    return solutions, checked, evidence
+def _run_pool_shard(index: int, fixed_mask: int):
+    """The pool task: one shard through the process's sweep."""
+    return _POOL_SWEEP.run(index, fixed_mask)
 
 
 # ----------------------------------------------------------------------
@@ -617,14 +653,13 @@ def solve_si_parallel(
     honored on the in-process path only — worker processes build their own
     (term caches cannot be shared across process boundaries).
 
-    Fault tolerance (DESIGN.md §10): multiprocess sweeps run under a
+    Fault tolerance (DESIGN.md §10): every sweep runs under a
     :class:`repro.robustness.ShardSupervisor` — shards lost to worker
     crashes or deadlines are re-dispatched (re-spawning the pool), and a
     shard that exhausts its retry budget falls back to the in-process
-    sweep.  ``fault_policy`` tunes this (``FaultPolicy.off()`` restores the
-    bare pool loop, where a broken pool raises
-    :class:`~repro.robustness.SolverWorkerError`); the report's
-    ``fault_log`` records every incident.  ``checkpoint`` names a journal
+    sweep.  ``fault_policy`` tunes this (without ``serial_fallback`` an
+    exhausted shard raises :class:`~repro.robustness.SolverWorkerError`);
+    the report's ``fault_log`` records every incident.  ``checkpoint`` names a journal
     file (or :class:`~repro.robustness.ShardJournal`): completed shards are
     journaled as they land, and a killed solve re-run with the same
     checkpoint resumes from disk — the final report and certificate are
@@ -634,8 +669,7 @@ def solve_si_parallel(
 
     ``progress`` is an optional callback receiving
     :class:`~repro.robustness.SolveProgress` ticks — one per resumed
-    batch and one per completed shard, in journal order.  It is honored
-    on supervised sweeps only (``FaultPolicy.off()`` ignores it).
+    batch and one per completed shard, in journal order.
 
     ``remote_workers`` (or ``REPRO_SOLVER_REMOTE_WORKERS``) names
     ``host:port`` addresses of ``python -m repro.worker`` daemons; shards
@@ -649,13 +683,6 @@ def solve_si_parallel(
     certificates stay byte-identical to serial throughout.
     """
     from ..certificates.canonical import payload_digest
-    from ..robustness import (
-        FaultLog,
-        FaultPlan,
-        FaultPolicy,
-        ShardJournal,
-        ShardSupervisor,
-    )
     from .kbp import SolveReport, _check_exhaustive_size, solve_si
 
     space = program.space
@@ -685,11 +712,6 @@ def solve_si_parallel(
     if checkpoint is not None and any_solution:
         raise ValueError(
             "checkpoint requires a complete sweep; any_solution stops early"
-        )
-    if checkpoint is not None and not fault_policy.supervised:
-        raise ValueError(
-            "checkpoint journals need a supervised policy; drop "
-            "FaultPolicy.off() or the checkpoint"
         )
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
@@ -733,6 +755,17 @@ def solve_si_parallel(
     backend_selection = get_default_backend()
     if isinstance(backend_selection, PredicateBackend):
         backend_selection = backend_selection.name
+    spec = SweepSpec(
+        program=program,
+        base_mask=base_mask,
+        low_positions=tuple(low_positions),
+        emit_certificate=emit_certificate,
+        any_solution=any_solution,
+        batch_size=batch_size,
+        fault_plan=fault_plan,
+        backend_selection=backend_selection,
+        has_plan=plan is not None,
+    )
     stats = DispatchStats(start_method=resolved_method) if workers > 1 else None
     arena_holder: List[Optional[SolveArena]] = [None]
     # One log serves the supervisor *and* the pool factory, so transport
@@ -744,7 +777,7 @@ def solve_si_parallel(
         # Lazy on both axes: no pool → no arena (a fully journaled resume
         # never pays for either), and one arena serves every pool respawn
         # (workers re-attach by segment name).
-        arena_spec = None
+        worker_spec = spec
         if arena_mode == "auto" and plan is not None:
             if arena_holder[0] is None:
                 digest = payload_digest(header["program"]).split(":", 1)[-1]
@@ -752,24 +785,13 @@ def solve_si_parallel(
                 if stats is not None:
                     stats.arena_bytes = arena_holder[0].nbytes
                     stats.arena_segments = 1
-            arena_spec = arena_holder[0].spec
+            worker_spec = replace(spec, arena_spec=arena_holder[0].spec)
         if addresses:
             try:
                 return SocketTransport(
                     addresses,
                     program_digest=header["program"],
-                    attach_args=dict(
-                        program=program,
-                        base_mask=base_mask,
-                        low_positions=low_positions,
-                        emit_certificate=emit_certificate,
-                        any_solution=any_solution,
-                        batch_size=batch_size,
-                        fault_plan=fault_plan,
-                        backend_selection=backend_selection,
-                        arena_spec=arena_spec,
-                        has_plan=plan is not None,
-                    ),
+                    spec=worker_spec,
                     plan=plan,
                     policy=fault_policy,
                     stats=stats,
@@ -788,89 +810,44 @@ def solve_si_parallel(
             workers=min(workers, len(shard_masks)),
             mp_context=mp.get_context(resolved_method),
             initializer=_init_worker,
-            initargs=(
-                program, base_mask, low_positions,
-                emit_certificate, any_solution, batch_size, fault_plan,
-                backend_selection, arena_spec, plan is not None,
-            ),
+            initargs=(worker_spec,),
             stats=stats,
         )
 
-    fault_log = None
-    solution_masks: List[int] = []
-    checked = 0
-    evidence: List[Tuple[str, Any]] = []
+    # The in-process sweep: the whole solve when workers == 1, and the
+    # supervisor's degradation path otherwise.  It reuses the
+    # parent-compiled plan (no arena — shared memory is for crossing a
+    # process boundary), honors a caller-supplied resolver, and runs no
+    # fault plan — a crash clause must not kill the parent.
+    in_process = ShardSweep(replace(spec, fault_plan=None), plan, resolver)
+    drain_hook = None
+    if collect_stats and workers > 1:
 
+        def drain_hook(pool):
+            stats.worker_peak_rss_kb = max(
+                stats.worker_peak_rss_kb, pool.sample_worker_rss()
+            )
+
+    supervisor = ShardSupervisor(
+        pool_factory=None if workers == 1 else pool_factory,
+        task=_run_pool_shard,
+        shard_masks=shard_masks,
+        policy=fault_policy,
+        any_solution=any_solution,
+        journal=journal,
+        journal_header=header,
+        # Parent-side clauses (kill/torn) only; worker clauses travel in
+        # the spec and fire in pool processes and worker daemons.
+        fault_plan=fault_plan,
+        serial_runner=in_process.run,
+        encode_evidence=_encode_evidence,
+        decode_evidence=lambda items: _decode_evidence(items, space),
+        progress=progress,
+        drain_hook=drain_hook,
+        log=shared_log,
+    )
     try:
-        if workers == 1 or fault_policy.supervised:
-            in_process = workers == 1
-
-            parent_ready = [False]
-
-            def serial_runner(index: int, fixed: int):
-                # The in-process sweep: also the supervisor's degradation
-                # path.  Reuses the parent-compiled plan (no arena — the
-                # whole point of shared memory is crossing a process
-                # boundary) and honors a caller-supplied resolver.  No
-                # fault plan — a crash clause must not kill the parent.
-                if not parent_ready[0]:
-                    _WORKER.clear()
-                    _WORKER.update(
-                        program=program,
-                        resolver=resolver,
-                        plan=plan,
-                        backend=batch_backend_for(space.size, batch_size)
-                        if plan is not None
-                        else None,
-                        base_mask=base_mask,
-                        low_positions=low_positions,
-                        emit_certificate=emit_certificate,
-                        any_solution=any_solution,
-                        batch_size=batch_size,
-                        fault_plan=None,
-                    )
-                    parent_ready[0] = True
-                return _sweep_shard(index, fixed)
-
-            drain_hook = None
-            if collect_stats and not in_process:
-
-                def drain_hook(pool):
-                    stats.worker_peak_rss_kb = max(
-                        stats.worker_peak_rss_kb, pool.sample_worker_rss()
-                    )
-
-            supervisor = ShardSupervisor(
-                pool_factory=None if in_process else pool_factory,
-                task=_sweep_shard,
-                shard_masks=shard_masks,
-                policy=fault_policy,
-                any_solution=any_solution,
-                journal=journal,
-                journal_header=header,
-                # Parent-side clauses (kill/torn) only; worker clauses
-                # travel through _init_worker and fire in pool processes.
-                fault_plan=fault_plan,
-                serial_runner=serial_runner,
-                encode_evidence=_encode_evidence,
-                decode_evidence=lambda items: _decode_evidence(items, space),
-                progress=progress,
-                drain_hook=drain_hook,
-                log=shared_log,
-            )
-            try:
-                solution_masks, checked, evidence = supervisor.run()
-            finally:
-                if parent_ready[0]:
-                    _WORKER.clear()
-            fault_log = supervisor.log
-        else:
-            # FaultPolicy.off(): the bare PR-3 wait loop — no leases, no
-            # retries — except that a broken pool names the lost shard
-            # instead of surfacing a raw BrokenProcessPool traceback.
-            solution_masks, checked, evidence = _unsupervised_sweep(
-                pool_factory, shard_masks, any_solution, collect_stats
-            )
+        solution_masks, checked, evidence = supervisor.run()
     finally:
         # Covers SimulatedKill (a BaseException) from parent-side fault
         # clauses: the segment must never outlive the solve.
@@ -888,72 +865,9 @@ def solve_si_parallel(
         solutions=tuple(solutions),
         candidates_checked=checked,
         certificate=certificate,
-        fault_log=fault_log,
+        fault_log=supervisor.log,
         dispatch=stats,
     )
-
-
-def _unsupervised_sweep(
-    pool_factory,
-    shard_masks: List[int],
-    any_solution: bool,
-    collect_stats: bool = False,
-) -> Tuple[List[int], int, List[Tuple[str, Any]]]:
-    """The PR-3 pool loop, kept for overhead benchmarking and as a floor.
-
-    Dispatches through the same transport as the supervised path (so
-    arenas and byte accounting apply here too).  A dead worker aborts the
-    sweep — but now with a :class:`~repro.robustness.SolverWorkerError`
-    naming the shard's fixed-bit mask and the completed/pending counts
-    instead of a bare ``BrokenProcessPool``.
-    """
-    from ..robustness import SolverWorkerError
-
-    solution_masks: List[int] = []
-    checked = 0
-    evidence: List[Tuple[str, Any]] = []
-    completed = 0
-    pool = pool_factory()
-    try:
-        pending = {
-            pool.submit(_sweep_shard, index, fixed): (index, fixed)
-            for index, fixed in enumerate(shard_masks)
-        }
-        try:
-            while pending:
-                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                stop = False
-                for future in done:
-                    index, fixed = pending.pop(future)
-                    try:
-                        masks, shard_checked, shard_evidence = future.result()
-                    except (BrokenProcessPool, ShardLeaseRevoked) as exc:
-                        raise SolverWorkerError(
-                            shard_mask=fixed,
-                            attempts=1,
-                            completed=completed,
-                            pending=len(pending) + 1,
-                            cause=str(exc) or "process pool broke",
-                        ) from exc
-                    completed += 1
-                    solution_masks.extend(masks)
-                    checked += shard_checked
-                    evidence.extend(shard_evidence)
-                    if any_solution and masks:
-                        stop = True
-                if stop:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    return solution_masks, checked, evidence
-        finally:
-            for future in pending:
-                future.cancel()
-        if collect_stats and pool.stats is not None:
-            pool.stats.worker_peak_rss_kb = max(
-                pool.stats.worker_peak_rss_kb, pool.sample_worker_rss()
-            )
-    finally:
-        pool.shutdown(wait=True)
-    return solution_masks, checked, evidence
 
 
 def _merged_certificate(program: Program, evidence, free_mask: int):

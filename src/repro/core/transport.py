@@ -37,6 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..robustness import FaultPolicy, backoff
 from .netproto import (
     AUTH_KEY_ENV_VAR,
     AuthError,
@@ -398,12 +399,13 @@ class SocketTransport(ShardTransport):
     """Shards over TCP to ``python -m repro.worker`` daemons.
 
     Construction connects to and *attaches* every address: the worker
-    receives the solve's program digest plus the attach payload (program,
-    shard layout, solver flags, arena spec) and either maps the
-    shared-memory arena by name or — when the segment does not resolve,
-    e.g. on another host — asks for and receives the full Φ-plan payload.
-    A worker none of whose connect attempts succeed (retry with the fault
-    policy's exponential backoff) is simply skipped; zero attached
+    receives the solve's program digest plus the pickled
+    :class:`~repro.core.parallel.SweepSpec` (program, shard layout, solver
+    flags, arena spec) and either maps the shared-memory arena by name or
+    — when the segment does not resolve, e.g. on another host — asks for
+    and receives the full Φ-plan payload.  A worker none of whose connect
+    attempts succeed (``policy.max_retries`` retries, each after a
+    :func:`~repro.robustness.backoff` pause) is simply skipped; zero attached
     workers raises :class:`SocketTransportError` so the caller can
     degrade to a local pool.
 
@@ -424,9 +426,9 @@ class SocketTransport(ShardTransport):
         addresses: Sequence[str],
         *,
         program_digest: str,
-        attach_args: Dict[str, Any],
+        spec: Any,
         plan: Optional[Any] = None,
-        policy: Optional[Any] = None,
+        policy: FaultPolicy = FaultPolicy(),
         stats: Optional[DispatchStats] = None,
         log: Optional[Any] = None,
         net_plan: Optional[Any] = None,
@@ -453,7 +455,7 @@ class SocketTransport(ShardTransport):
         #: pickles, so keyless links are accepted for loopback only.
         self.auth_key = auth_key if auth_key is not None else load_auth_key()
         self._attach_payload = pickle.dumps(
-            attach_args, protocol=pickle.HIGHEST_PROTOCOL
+            spec, protocol=pickle.HIGHEST_PROTOCOL
         )
         self._plan = plan
         self._plan_payload: Optional[bytes] = None
@@ -508,14 +510,6 @@ class SocketTransport(ShardTransport):
     # connection management
     # ------------------------------------------------------------------
 
-    def _backoff(self, attempt: int) -> float:
-        if self.policy is None:
-            return min(0.05 * (2.0 ** (attempt - 1)), 2.0)
-        return self.policy.backoff(attempt + 1)
-
-    def _max_retries(self) -> int:
-        return 2 if self.policy is None else self.policy.max_retries
-
     def _open_link(self, link: _WorkerLink) -> None:
         """Connect and attach one worker, retrying with backoff.
 
@@ -537,14 +531,14 @@ class SocketTransport(ShardTransport):
                 )
                 break
             except OSError as exc:
-                if attempt > self._max_retries():
+                if attempt > self.policy.max_retries:
                     raise SocketTransportError(
                         f"worker {link.address} unreachable after {attempt} "
                         f"attempt(s): {exc}"
                     ) from exc
                 if self.stats is not None:
                     self.stats.count_retry(link.address)
-                time.sleep(self._backoff(attempt))
+                time.sleep(backoff(attempt))
         try:
             self._attach(link, sock)
         except (OSError, FrameError) as exc:
@@ -818,7 +812,7 @@ class SocketTransport(ShardTransport):
                 cause = str(exc)
                 link.close()
                 retries += 1
-                if self._stopping.is_set() or retries > self._max_retries():
+                if self._stopping.is_set() or retries > self.policy.max_retries:
                     break
                 if self.stats is not None:
                     self.stats.count_retry(link.address)
@@ -829,7 +823,7 @@ class SocketTransport(ShardTransport):
                         attempt=retries,
                         detail=f"{link.address}: {cause}",
                     )
-                time.sleep(self._backoff(retries))
+                time.sleep(backoff(retries))
                 try:
                     self._open_link(link)
                 except (OSError, FrameError, SocketTransportError) as reopen:

@@ -8,11 +8,11 @@ guarding a different cost model:
   (ROBDD) backend is exempt: it never enumerates states, so the guards
   consult the backend's ``symbolic`` capability flag before refusing.
 * **candidate sweeps** — the eq.-(25) exhaustive SI search enumerates
-  ``2^(free states)`` candidates (``repro.core.kbp``); this was
-  ``MAX_EXHAUSTIVE_STATES = 28`` there.
+  ``2^(free states)`` candidates (``repro.core.kbp``); this was a
+  module constant (28) there.
 * **predicate enumeration** — junctivity analysis enumerates *all* ``2^n``
   predicates over the space (``repro.transformers.junctivity``); this was
-  an unrelated constant that happened to share the same name (= 16).
+  an unrelated module constant of the same name (= 16).
 
 Each limit is overridable by environment variable (read once, on first
 use) or programmatically (:func:`set_limit`), and every guard message

@@ -14,6 +14,10 @@ Three cooperating pieces (DESIGN.md §10):
   driven by the ``REPRO_FAULT_PLAN`` grammar; the chaos suite uses it to
   assert that solutions, candidate counts, and certificate digests are
   invariant under every injected fault schedule.
+
+The package imports only the standard library at load time (the journal
+reaches the certificate layer on first use), so :mod:`repro.core` can
+import the retry policy and :func:`backoff` without an import cycle.
 """
 
 from .checkpoint import (
@@ -32,15 +36,18 @@ from .faults import (
     SimulatedKill,
 )
 from .supervisor import (
+    BACKOFF_CAP,
     FaultIncident,
     FaultLog,
     FaultPolicy,
     ShardSupervisor,
     SolveProgress,
     SolverWorkerError,
+    backoff,
 )
 
 __all__ = [
+    "BACKOFF_CAP",
     "FAULT_PLAN_ENV_VAR",
     "FaultClause",
     "FaultIncident",
@@ -57,5 +64,6 @@ __all__ = [
     "SimulatedKill",
     "SolveProgress",
     "SolverWorkerError",
+    "backoff",
     "verify_journal",
 ]

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..certificates.canonical import canonical_dumps
-
 #: Journal line format tag; bump on incompatible record changes.
 JOURNAL_FORMAT = "repro-shard-journal/v1"
 
@@ -83,6 +81,8 @@ class ShardRecord:
 
 
 def _chain_digest(previous: str, body: Dict[str, Any]) -> str:
+    from ..certificates.canonical import canonical_dumps
+
     text = previous + canonical_dumps(body)
     return "sha256:" + hashlib.sha256(text.encode("ascii")).hexdigest()
 
@@ -200,6 +200,8 @@ class ShardJournal:
         return self._count
 
     def _encode_line(self, body: Dict[str, Any], chain: str) -> str:
+        from ..certificates.canonical import canonical_dumps
+
         return canonical_dumps({**body, "chain": chain}) + "\n"
 
     def _write_line(self, body: Dict[str, Any], chain: str) -> None:

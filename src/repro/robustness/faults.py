@@ -262,7 +262,7 @@ class FaultPlan:
         return False
 
     # ------------------------------------------------------------------
-    # worker-side hooks (threaded through _init_worker)
+    # worker-side hooks (carried to workers in the SweepSpec)
     # ------------------------------------------------------------------
 
     def before_shard(self, shard_index: int) -> None:

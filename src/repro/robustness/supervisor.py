@@ -1,14 +1,14 @@
 """The shard lease manager: leases, deadlines, retries, fallback.
 
-The PR-3 solver dispatched shards to a fork pool and called
-``future.result()`` bare — one OOM-killed or wedged worker aborted the
-whole solve and discarded every completed shard.  The supervisor wraps the
-same pool with a lease discipline:
+Every sharded solve runs through the supervisor — in-process, through a
+local pool, or over socket workers — so one OOM-killed or wedged worker
+costs a re-dispatch, never the solve.  It wraps the transport with a lease
+discipline:
 
 * every in-flight shard has an attempt count and (optionally) a deadline;
 * a broken pool (worker crash, fork-context death) loses every in-flight
   lease at once: the pool is killed and re-spawned, the lost shards are
-  re-dispatched with exponential backoff;
+  re-dispatched after a :func:`backoff` pause;
 * a shard past its deadline wedges its pool slot (a hung worker cannot be
   preempted through the executor API), so deadline expiry is treated the
   same way — kill, re-spawn, re-dispatch;
@@ -23,8 +23,8 @@ arrive as opaque ``(index, payload)`` leases and results as opaque tuples,
 so :mod:`repro.core.parallel` can hand it closures without a circular
 import.  Completed-shard results are merged in shard-index order, which —
 together with the ``_merged_certificate`` re-sort — keeps reports and
-certificate digests byte-identical to the unsupervised sweep no matter
-which faults fired.
+certificate digests byte-identical to the serial sweep no matter which
+faults fired.
 """
 
 from __future__ import annotations
@@ -68,42 +68,41 @@ class SolverWorkerError(RuntimeError):
         )
 
 
+#: The one retry delay schedule (supervisor re-dispatch, socket worker
+#: reconnect, service client reconnect): ``base · BACKOFF_FACTOR^(n-1)``
+#: seconds before retry ``n``, never more than ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 2.0
+
+
+def backoff(retry: int, base: float = BACKOFF_BASE) -> float:
+    """Seconds to pause before retry ``retry`` (1-based; 0 is no retry)."""
+    if retry < 1:
+        return 0.0
+    return min(base * BACKOFF_FACTOR ** (retry - 1), BACKOFF_CAP)
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """How the supervisor reacts to lost shards.
 
-    ``max_retries`` counts *re-dispatches* per shard (0 = one attempt).
-    ``shard_deadline`` is seconds per attempt; ``None`` disables deadlines
-    (the fault-free wait loop then has zero polling overhead).  With
-    ``supervised=False`` the solver runs the bare PR-3 wait loop, except
-    that a broken pool raises :class:`SolverWorkerError` instead of a raw
-    ``BrokenProcessPool`` traceback.
+    ``max_retries`` counts *re-dispatches* per shard (0 = one attempt),
+    each after a :func:`backoff` pause.  ``shard_deadline`` is seconds per
+    attempt; ``None`` disables deadlines (the fault-free wait loop then
+    has zero polling overhead).  ``serial_fallback`` lets a shard that
+    exhausts its budget finish in-process; without it the solve raises
+    :class:`SolverWorkerError`.
     """
 
     max_retries: int = 2
     shard_deadline: Optional[float] = None
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 2.0
     serial_fallback: bool = True
-    supervised: bool = True
-
-    @classmethod
-    def off(cls) -> "FaultPolicy":
-        """The PR-3 behavior: no leases, no retries, no fallback."""
-        return cls(max_retries=0, serial_fallback=False, supervised=False)
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to pause before re-dispatching attempt ``attempt``."""
-        if attempt <= 1:
-            return 0.0
-        delay = self.backoff_base * self.backoff_factor ** (attempt - 2)
-        return min(delay, self.backoff_cap)
 
 
 @dataclass(frozen=True)
 class SolveProgress:
-    """One progress tick of a supervised sharded solve.
+    """One progress tick of a sharded solve.
 
     Emitted through the supervisor's ``progress`` callback — once per
     journal-resumed batch (``kind="resume"``) and once per completed shard
@@ -125,7 +124,7 @@ class SolveProgress:
 
 @dataclass(frozen=True)
 class FaultIncident:
-    """One supervised event: what happened, to which shard, which attempt."""
+    """One incident: what happened, to which shard, which attempt."""
 
     kind: str  # worker-crash | shard-timeout | pool-respawn | retry |
     #            serial-fallback | duplicate-result | resume | worker-lost |
@@ -167,25 +166,6 @@ class FaultLog:
         return not self.incidents and not self.shards_resumed
 
 
-def _kill_pool(pool) -> None:
-    """Tear a pool down hard: hung workers would pin their slots forever.
-
-    Transports (:class:`repro.core.transport.ShardTransport`) expose this
-    as ``terminate()``; bare executors are dismantled by hand.
-    """
-    terminate = getattr(pool, "terminate", None)
-    if callable(terminate):
-        terminate()
-        return
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # racing a worker's own exit is fine
-            pass
-
-
 #: One shard's sweep outcome: (solution_masks, checked, evidence).
 ShardResult = Tuple[List[int], int, List[Any]]
 
@@ -200,11 +180,11 @@ class ShardSupervisor:
         task: Callable[..., ShardResult],
         shard_masks: Sequence[int],
         policy: FaultPolicy,
+        serial_runner: Callable[[int, int], ShardResult],
         any_solution: bool = False,
         journal: Optional[ShardJournal] = None,
         journal_header: Optional[Dict[str, Any]] = None,
         fault_plan: Optional[FaultPlan] = None,
-        serial_runner: Optional[Callable[[int, int], ShardResult]] = None,
         encode_evidence: Callable[[List[Any]], List[Any]] = lambda e: [],
         decode_evidence: Callable[[Sequence[Any]], List[Any]] = lambda e: [],
         progress: Optional[Callable[[SolveProgress], None]] = None,
@@ -248,8 +228,6 @@ class ShardSupervisor:
         if todo and self.pool_factory is None:
             # In-process mode (workers=1): same lease bookkeeping — journal
             # appends, parent-side faults, early exit — without a pool.
-            if self.serial_runner is None:
-                raise ValueError("in-process supervision needs a serial_runner")
             for index in todo:
                 result = self.serial_runner(index, self.shard_masks[index])
                 self._complete(index, result, results)
@@ -266,7 +244,8 @@ class ShardSupervisor:
                     except Exception:  # pragma: no cover - metrics only
                         pass
             finally:
-                _kill_pool(self._pool)
+                # Hard teardown: hung workers would pin their slots forever.
+                self._pool.terminate()
 
         if fallback and not stopped:
             self._serial_phase(fallback, results)
@@ -424,7 +403,7 @@ class ShardSupervisor:
                 retry = self._triage(lost, attempts, results, fallback)
                 if retry:
                     pause = max(
-                        policy.backoff(attempts[index]) for index in retry
+                        backoff(attempts[index] - 1) for index in retry
                     )
                     if pause:
                         time.sleep(pause)
@@ -479,7 +458,7 @@ class ShardSupervisor:
         return retry
 
     def _respawn(self, why: str) -> None:
-        _kill_pool(self._pool)
+        self._pool.terminate()
         self.log.record("pool-respawn", detail=why)
         self._pool = self.pool_factory()
 
@@ -487,14 +466,6 @@ class ShardSupervisor:
         self, fallback: List[int], results: Dict[int, ShardResult]
     ) -> None:
         """Graceful degradation: sweep abandoned shards in-process."""
-        if self.serial_runner is None:
-            raise SolverWorkerError(
-                shard_mask=self.shard_masks[fallback[0]],
-                attempts=self.policy.max_retries + 1,
-                completed=len(results),
-                pending=len(self.shard_masks) - len(results),
-                cause="no serial runner available",
-            )
         for index in sorted(fallback):
             if index in results:
                 continue

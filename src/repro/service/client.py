@@ -36,23 +36,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
+from ..robustness import BACKOFF_CAP, backoff
 from .specs import ServiceError
 
 #: Default connect/request retry budget (attempts beyond the first).
 DEFAULT_RETRIES = 3
-#: First retry delay; doubles per attempt, capped at :data:`BACKOFF_CAP`.
+#: First retry delay (the base of :func:`repro.robustness.backoff`).
 DEFAULT_RETRY_BACKOFF = 0.1
-BACKOFF_CAP = 2.0
 
 #: Transient transport failures worth a fresh connection.  ``socket.timeout``
 #: is deliberately absent: a server that accepted the request but is slow is
 #: not one to hammer with duplicates.
 _RETRYABLE = (ConnectionRefusedError, ConnectionResetError, BrokenPipeError)
-
-
-def _backoff(attempt: int, base: float) -> float:
-    """Capped exponential delay before retry ``attempt`` (1-based)."""
-    return min(base * (2.0 ** (attempt - 1)), BACKOFF_CAP)
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ class ServiceClient:
                 attempt += 1
                 if attempt > self.retries:
                     raise
-                time.sleep(_backoff(attempt, self.retry_backoff))
+                time.sleep(backoff(attempt, self.retry_backoff))
 
     def close(self) -> None:
         for stream in (self.rfile, self.wfile, self.sock):
@@ -369,7 +364,7 @@ def main(argv: Optional[list] = None) -> int:
                 file=sys.stderr,
                 flush=True,
             )
-            time.sleep(_backoff(attempt, args.retry_backoff))
+            time.sleep(backoff(attempt, args.retry_backoff))
         except (ConnectionError, socket.timeout) as exc:
             print(f"error: cannot reach the server: {exc}", file=sys.stderr)
             return 1

@@ -410,9 +410,9 @@ def main(argv: Optional[list] = None) -> int:
         "--workers",
         type=_parse_workers,
         default=(1, None),
-        help="solver workers per cold solve: an integer (1 = in-process "
-        "supervised), or a host:port,... list of python -m repro.worker "
-        "daemons to fan shards out to over TCP",
+        help="solver workers per cold solve: an integer (1 = in-process), "
+        "or a host:port,... list of python -m repro.worker daemons to fan "
+        "shards out to over TCP",
     )
     parser.add_argument(
         "--read-deadline",

@@ -104,7 +104,7 @@ class RunResult:
     scheduler_state: Optional[Any] = field(default=None, repr=False, compare=False)
     #: fingerprint of the goal the run executed toward
     goal_fingerprint: Optional[str] = None
-    #: watchdog post-mortem, when the run was supervised
+    #: watchdog post-mortem, when a watchdog watched the run
     diagnosis: Optional["RunDiagnosis"] = field(
         default=None, repr=False, compare=False
     )

@@ -1,9 +1,11 @@
 """``python -m repro.worker`` — a remote shard worker daemon.
 
 One daemon serves shard sweeps over TCP to any number of coordinating
-solves, one at a time (the sweep state is process-global, so concurrent
-sessions serialize on a lock).  The protocol (DESIGN.md §15) is the
-length-prefixed, digest-checked frame format of :mod:`repro.core.netproto`:
+solves, one at a time (each session owns its own
+:class:`~repro.core.parallel.ShardSweep`, but the predicate-backend
+selection it replays is process-global, so sessions serialize on a lock).
+The protocol (DESIGN.md §15) is the length-prefixed, digest-checked frame
+format of :mod:`repro.core.netproto`:
 
 1. the daemon opens with ``hello``, and — when it holds the shared
    secret (``REPRO_WORKER_KEY`` / ``--key-file``) — a challenge nonce.
@@ -14,15 +16,16 @@ length-prefixed, digest-checked frame format of :mod:`repro.core.netproto`:
    too).  Keyless daemons exist for loopback only — binding a
    non-loopback interface without a key is refused at startup;
 2. the coordinator sends ``attach`` — the solve's program digest in the
-   header, the pickled init arguments (program, shard layout, solver
-   flags, arena spec) in the body.  The daemon re-derives the program
-   digest from what it unpickled and refuses a mismatch: a worker never
-   computes against a program other than the one it claims to serve;
+   header, the pickled :class:`~repro.core.parallel.SweepSpec` (program,
+   shard layout, solver flags, arena spec) in the body.  The daemon
+   re-derives the program digest from what it unpickled and refuses a
+   mismatch: a worker never computes against a program other than the
+   one it claims to serve;
 3. the daemon maps the shared-memory arena by name when it can (same
    host), and otherwise answers ``need-plan`` — the coordinator ships the
    full Φ-plan payload, which is exactly the remote-host fallback;
 4. each ``shard`` frame names ``(index, fixed_mask, attempt)``; the
-   daemon sweeps it with the *same* ``_sweep_shard`` a pool worker runs
+   daemon sweeps it with the *same* ``ShardSweep.run`` a pool worker runs
    and answers a ``result`` frame keyed by that mask and attempt, sending
    ``heartbeat`` frames from a side thread while the sweep computes;
 5. ``rss`` answers peak memory, ``bye`` ends the session.
@@ -64,8 +67,10 @@ from .core.netproto import (
     recv_frame,
     send_frame,
 )
+from .predicates.backends import set_default_backend
 
-#: Only one session may own the process-global sweep state at a time.
+#: Only one session at a time: the sweep itself is per-session, but the
+#: backend selection it replays (``set_default_backend``) is process-global.
 _SESSION_LOCK = threading.Lock()
 
 
@@ -136,6 +141,7 @@ class Session:
         self.write_lock = threading.Lock()
         self.heartbeat_interval = 0.5
         self.net_plan: Optional[Any] = None
+        self.sweep: Optional[parallel.ShardSweep] = None
 
     def log(self, message: str) -> None:
         if self.verbose:
@@ -181,10 +187,8 @@ class Session:
             # coordinator fails fast instead of waiting out its deadline.
             self.fail(f"worker internal error: {exc!r}")
         finally:
-            plan = parallel._WORKER.get("plan")
-            if plan is not None and hasattr(plan, "close"):
-                plan.close()  # unmap an attached arena before gc sees it
-            parallel._WORKER.clear()
+            if self.sweep is not None:
+                self.sweep.close()  # unmap an attached arena before gc sees it
             for stream in (self.rfile, self.wfile, self.conn):
                 try:
                     stream.close()
@@ -249,15 +253,13 @@ class Session:
         # shape must earn an 'error' frame just like one that does not
         # decode at all, never a silently dead session thread.
         try:
-            args = pickle.loads(body)
-            if not isinstance(args, dict):
+            spec = pickle.loads(body)
+            if not isinstance(spec, parallel.SweepSpec):
                 raise TypeError(
-                    f"attach payload is {type(args).__name__}, expected dict"
+                    f"attach payload is {type(spec).__name__}, expected "
+                    "SweepSpec"
                 )
-            program = args["program"]
-            base_mask = int(args["base_mask"])
-            low_positions = list(args["low_positions"])
-            actual = _program_digest(program)
+            actual = _program_digest(spec.program)
         except Exception as exc:
             self.fail(f"bad attach payload: {exc!r}")
             raise _SessionEnd from None
@@ -270,58 +272,44 @@ class Session:
             )
             raise _SessionEnd
 
+        if spec.backend_selection is not None:
+            set_default_backend(spec.backend_selection)
         # Plan acquisition: arena by name when the segment resolves on this
         # host, the shipped payload otherwise — never a local recompile,
         # so the worker computes over exactly the coordinator's plan.
         plan = None
         mode = "resolver"
-        has_plan = bool(args.get("has_plan"))
-        arena_spec = args.get("arena_spec")
-        if not args.get("emit_certificate") and has_plan:
-            if arena_spec is not None:
-                plan = arena_spec.try_attach(program.space)
+        if spec.has_plan:
+            if spec.arena_spec is not None:
+                plan = spec.arena_spec.try_attach(spec.program.space)
             if plan is not None:
                 mode = "arena"
             else:
-                self.send("need-plan", {"program": actual})
-                try:
-                    plan_header, plan_body, _n = recv_frame(self.rfile)
-                except FrameError:
-                    raise _SessionEnd from None
-                if plan_header.get("type") != "plan":
-                    self.fail(
-                        f"expected 'plan', got {plan_header.get('type')!r}"
-                    )
-                    raise _SessionEnd
-                try:
-                    plan = pickle.loads(plan_body)
-                except Exception as exc:
-                    self.fail(f"undecodable plan payload: {exc}")
-                    raise _SessionEnd from None
-                mode = "payload"
-
-        fault_plan = args.get("fault_plan")
-        if fault_plan is not None and hasattr(fault_plan, "before_result"):
-            self.net_plan = fault_plan
-
-        parallel._init_worker(
-            program,
-            base_mask,
-            low_positions,
-            bool(args.get("emit_certificate")),
-            bool(args.get("any_solution")),
-            int(args.get("batch_size") or parallel.BATCH_SIZE),
-            fault_plan=fault_plan,
-            backend_selection=args.get("backend_selection"),
-            arena_spec=None,
-            has_plan=has_plan,
-            plan=plan,
-        )
+                plan, mode = self._receive_plan(actual), "payload"
+        if hasattr(spec.fault_plan, "before_result"):
+            self.net_plan = spec.fault_plan
+        self.sweep = parallel.ShardSweep(spec, plan)
         self.send(
             "attached",
             {"program": actual, "mode": mode, "protocol": WORKER_PROTOCOL},
         )
         self.log(f"attached to {actual} (mode={mode})")
+
+    def _receive_plan(self, program_digest: str):
+        """Ask the coordinator for the Φ-plan payload; unpickle it."""
+        self.send("need-plan", {"program": program_digest})
+        try:
+            header, body, _n = recv_frame(self.rfile)
+        except FrameError:
+            raise _SessionEnd from None
+        if header.get("type") != "plan":
+            self.fail(f"expected 'plan', got {header.get('type')!r}")
+            raise _SessionEnd
+        try:
+            return pickle.loads(body)
+        except Exception as exc:
+            self.fail(f"undecodable plan payload: {exc}")
+            raise _SessionEnd from None
 
     # ------------------------------------------------------------------
 
@@ -331,7 +319,7 @@ class Session:
         attempt = int(header.get("attempt", 1))
         with _Heartbeat(self.wfile, self.write_lock, self.heartbeat_interval):
             try:
-                result = parallel._sweep_shard(index, fixed_mask)
+                result = self.sweep.run(index, fixed_mask)
             except Exception as exc:
                 self.fail(f"shard {index} failed: {exc!r}")
                 return
@@ -433,9 +421,9 @@ def serve(
             peer = f"{addr[0]}:{addr[1]}"
 
             def _run(conn=conn, peer=peer):
-                # Sessions share the process-global sweep state; a second
-                # coordinator waits its turn rather than corrupting the
-                # first one's plan.
+                # Sessions share the process-global backend selection; a
+                # second coordinator waits its turn rather than switching
+                # the first one's backend mid-sweep.
                 with _SESSION_LOCK:
                     Session(conn, peer, verbose=verbose, key=key).run()
 

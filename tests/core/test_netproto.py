@@ -144,7 +144,10 @@ class TestAuthHelpers:
         nonce = new_nonce()
         good = auth_digest(b"key", nonce)
         assert check_auth_digest(b"key", nonce, good)
-        assert not check_auth_digest(b"key", nonce, good[:-1] + "0")
+        # Forge by changing the last hex digit to a *different* one.
+        forged = good[:-1] + ("0" if good[-1] != "0" else "1")
+        assert forged != good
+        assert not check_auth_digest(b"key", nonce, forged)
         assert not check_auth_digest(b"key", nonce, None)
         assert not check_auth_digest(b"key", nonce, 12345)
 

@@ -18,18 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compile_phi_plan, solve_si, solve_si_parallel
-from repro.core.kbp import (
-    MAX_EXHAUSTIVE_STATES,
-    CandidateResolver,
-    _supersets_of,
-)
+from repro.core.kbp import CandidateResolver, _supersets_of
 from repro.core.parallel import (
     assignment_mask,
     default_workers,
     gray_masks,
     plan_shards,
 )
-from repro.predicates import Predicate, using_backend
+from repro.predicates import Predicate, limits, using_backend
 from repro.predicates.backends import get_backend
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.unity import (
@@ -344,9 +340,59 @@ def test_size_guard_names_both_escape_hatches():
     from repro.seqtrans import SeqTransParams, RELIABLE, build_kbp_protocol
 
     big = build_kbp_protocol(SeqTransParams(length=1), RELIABLE)
-    assert big.space.size > MAX_EXHAUSTIVE_STATES
+    assert big.space.size > limits.get_limit("solver")
     with pytest.raises(ValueError, match="solve_si_iterative") as exc_info:
         solve_si(big)
     assert "parallel" in str(exc_info.value)
     with pytest.raises(ValueError, match="solve_si_iterative"):
         solve_si_parallel(big)
+
+
+def test_concurrent_in_process_certified_solves_stay_independent(tmp_path):
+    """Threads certifying different programs in-process at once — what the
+    service does with several queue workers — must each get exactly the
+    serial certificate: no sweep state may be shared between solves."""
+    import sys
+    import threading
+
+    from repro.certificates.canonical import canonical_dumps
+    from repro.certificates.models import build_model
+
+    keys = ("kbp24-f8", "kbp24-f9", "kbp24-f10")  # more threads than CPUs
+    programs = {key: build_model(key).program for key in keys}
+    serial = {
+        key: canonical_dumps(
+            solve_si(program, emit_certificate=True, parallel="never")
+            .certificate.to_payload()
+        )
+        for key, program in programs.items()
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for trial in range(3):
+            outcomes = {}
+
+            def certify(key):
+                try:
+                    report = solve_si_parallel(
+                        programs[key],
+                        workers=1,
+                        emit_certificate=True,
+                        checkpoint=tmp_path / f"{key}-{trial}.journal",
+                    )
+                    outcomes[key] = canonical_dumps(
+                        report.certificate.to_payload()
+                    )
+                except Exception as exc:  # surfaced by the assertion below
+                    outcomes[key] = exc
+
+            threads = [threading.Thread(target=certify, args=(k,)) for k in keys]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            assert outcomes == serial, f"trial {trial}"
+    finally:
+        sys.setswitchinterval(interval)

@@ -68,29 +68,17 @@ def test_crash_exhaustion_degrades_to_serial(kbp, serial_report):
 
 
 def test_retry_budget_without_fallback_raises(kbp):
-    with pytest.raises(SolverWorkerError, match="retry budget exhausted"):
+    """A dead worker with no fallback raises SolverWorkerError naming the
+    shard's fixed-bit mask and the progress counts."""
+    with pytest.raises(SolverWorkerError, match="retry budget exhausted") as excinfo:
         solve_si_parallel(
             kbp,
             workers=2,
             fault_plan=FaultPlan.parse("crash@0:times=50"),
             fault_policy=FaultPolicy(max_retries=1, serial_fallback=False),
         )
-
-
-def test_unsupervised_broken_pool_names_the_shard(kbp):
-    """Satellite: FaultPolicy.off() keeps the bare loop but a dead worker
-    raises SolverWorkerError (shard mask, progress counts) instead of a raw
-    BrokenProcessPool traceback."""
-    with pytest.raises(SolverWorkerError) as excinfo:
-        solve_si_parallel(
-            kbp,
-            workers=2,
-            fault_plan=FaultPlan.parse("crash@0:times=50"),
-            fault_policy=FaultPolicy.off(),
-        )
-    err = excinfo.value
-    assert "fixed-bit mask" in str(err)
-    assert err.pending >= 1
+    assert "fixed-bit mask" in str(excinfo.value)
+    assert excinfo.value.pending >= 1
 
 
 # ----------------------------------------------------------------------
@@ -288,16 +276,6 @@ def test_checkpoint_needs_complete_sweep(kbp, tmp_path):
     with pytest.raises(ValueError, match="complete sweep"):
         solve_si_parallel(
             kbp, workers=2, any_solution=True, checkpoint=tmp_path / "j"
-        )
-
-
-def test_checkpoint_needs_supervision(kbp, tmp_path):
-    with pytest.raises(ValueError, match="supervised"):
-        solve_si_parallel(
-            kbp,
-            workers=2,
-            checkpoint=tmp_path / "j",
-            fault_policy=FaultPolicy.off(),
         )
 
 

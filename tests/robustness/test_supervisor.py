@@ -10,34 +10,29 @@ from __future__ import annotations
 import pytest
 
 from repro.robustness import (
+    BACKOFF_CAP,
     FaultLog,
     FaultPlan,
     FaultPolicy,
     SolverWorkerError,
+    backoff,
 )
 
 
 class TestFaultPolicy:
     def test_defaults_supervise_with_fallback(self):
         policy = FaultPolicy()
-        assert policy.supervised and policy.serial_fallback
+        assert policy.serial_fallback
         assert policy.max_retries == 2
-
-    def test_off_restores_bare_loop(self):
-        off = FaultPolicy.off()
-        assert not off.supervised
-        assert not off.serial_fallback
-        assert off.max_retries == 0
+        assert policy.shard_deadline is None
 
     def test_backoff_schedule(self):
-        policy = FaultPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_cap=0.3
+        """The one retry schedule: 0.05 s doubling per retry, capped at 2 s."""
+        assert backoff(0) == 0.0  # the first dispatch is immediate
+        assert [backoff(n) for n in range(1, 8)] == pytest.approx(
+            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
         )
-        assert policy.backoff(1) == 0.0  # first dispatch is immediate
-        assert policy.backoff(2) == pytest.approx(0.1)
-        assert policy.backoff(3) == pytest.approx(0.2)
-        assert policy.backoff(4) == pytest.approx(0.3)  # capped
-        assert policy.backoff(9) == pytest.approx(0.3)
+        assert backoff(30) == BACKOFF_CAP == 2.0
 
 
 class TestFaultLog:

@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.netproto import MAX_LINE_BYTES
 from repro.service import client as client_mod
-from repro.service.client import ServiceClient, _backoff
+from repro.robustness import backoff
+from repro.service.client import ServiceClient
 
 from .conftest import ServerHandle
 
@@ -92,7 +93,8 @@ def free_port() -> int:
 
 class TestClientRetry:
     def test_backoff_doubles_and_caps(self):
-        delays = [_backoff(n, 0.1) for n in range(1, 8)]
+        """The client's --retry-backoff is the shared schedule's base."""
+        delays = [backoff(n, 0.1) for n in range(1, 8)]
         assert delays[:5] == [0.1, 0.2, 0.4, 0.8, 1.6]
         assert all(d == 2.0 for d in delays[5:])
 
