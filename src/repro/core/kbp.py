@@ -517,8 +517,10 @@ def _candidate_evidence(
     """One candidate's certificate evidence: ``("solution", entry)`` or
     ``("refutation", refutation)``.
 
-    Shared by the serial certified sweep and the sharded solver's per-shard
-    walks — both must produce byte-identical evidence for a candidate.
+    The serial certified sweep's evidence, and the sharded solver's for
+    solutions, poisoned blocks and programs without a Φ plan; every other
+    sharded candidate gets :func:`_evidence_from_rows`, which must agree
+    with this byte for byte.
     """
     # Lazy imports: repro.certificates depends on this module's data types.
     from ..certificates.certs import (
@@ -557,6 +559,81 @@ def _candidate_evidence(
         closed=value,
         missing=missing,
     )
+
+
+def _evidence_from_rows(
+    resolver: CandidateResolver, plan, rows, block: List[int]
+) -> Iterator[Tuple[str, object]]:
+    """:func:`_candidate_evidence` for a block, built from the Φ kernel's rows.
+
+    ``rows`` is the :class:`~repro.predicates.backends.batch.PhiRows` that
+    ``batch_phi_rows(plan, block)`` returned.  Refutations come straight
+    from it: the resolution table from the term rows (the plan orders its
+    terms by ``repr``, as the table does), an unreached witness from Φ
+    itself, and an escape path from the BFS of
+    :func:`~repro.proofs.modelcheck.labeled_path` over the plan's
+    successor arrays with each guard applied (``succ[s]`` where the
+    resolved guard holds, ``s`` elsewhere) — the arrays of ``P_x``.
+    Solutions, one per fixed point, take the resolver for their sst chain.
+    Payloads equal :func:`_candidate_evidence`'s byte for byte.
+    """
+    from ..certificates.certs import CandidateRefutation
+    from ..proofs.modelcheck import bfs_path
+
+    space = plan.space
+    init_mask = resolver.program.init.mask
+    full_mask = space.full_mask
+    names = sorted(repr(term) for term in resolver.program.knowledge_terms())
+    term_rows = [rows.term_masks(t) for t in range(len(plan.terms))]
+    statements = [
+        (index, stmt.name, plan.succ_ints(index), rows.guard_masks(index))
+        for index, stmt in enumerate(plan.statements)
+    ]
+    # P_x's successor arrays, memoized by (statement, guard value): a
+    # block's candidates share few distinct guard rows.
+    guarded: Dict[Tuple[int, int], List[int]] = {}
+
+    def successors(index, succ, guards, b):
+        if guards is None:
+            return succ
+        g = guards[b]
+        array = guarded.get((index, g))
+        if array is None:
+            array = [t if g >> s & 1 else s for s, t in enumerate(succ)]
+            guarded[(index, g)] = array
+        return array
+
+    for b, (mask, value) in enumerate(zip(block, rows.phis)):
+        candidate = Predicate(space, mask)
+        if value == mask:
+            yield _candidate_evidence(resolver, candidate)
+            continue
+        table = tuple(
+            (name, Predicate(space, row[b]))
+            for name, row in zip(names, term_rows)
+        )
+        if value & ~mask:
+            arrays = [
+                (name, successors(index, succ, guards, b))
+                for index, name, succ, guards in statements
+            ]
+            path = bfs_path(arrays, init_mask, full_mask & ~mask, full_mask)
+            yield "refutation", CandidateRefutation(
+                candidate=candidate,
+                resolution=table,
+                witness_kind="escape",
+                path_states=path[0],
+                path_statements=path[1],
+            )
+            continue
+        unreached = mask & ~value
+        yield "refutation", CandidateRefutation(
+            candidate=candidate,
+            resolution=table,
+            witness_kind="unreached",
+            closed=Predicate(space, value),
+            missing=(unreached & -unreached).bit_length() - 1,
+        )
 
 
 def _solve_si_certified(

@@ -36,10 +36,14 @@ collapses into a handful of array ops per batch.
 Exactness: the merged report is bit-identical to the serial sweep — the
 same sorted ``solutions``, the same ``candidates_checked``, and (with
 ``emit_certificate=True``) the same per-candidate evidence in the same
-order, so certificates replay unchanged.  Certified sweeps skip the
-batched kernel and run the per-candidate evidence path inside each shard;
-the merge re-sorts evidence into the serial enumeration order (strictly
-descending free-bit submask).
+order, so certificates replay unchanged.  Certified sweeps of batchable
+programs run the batched kernel too: ``batch_phi_rows`` hands back each
+candidate's resolved term and guard rows with Φ, and
+:func:`repro.core.kbp._evidence_from_rows` turns them into refutations;
+only solutions (and blocks that hit a poisoned state) go through the
+per-candidate resolver evidence.  Programs without a plan take the
+resolver for every candidate.  The merge re-sorts evidence into the
+serial enumeration order (strictly descending free-bit submask).
 
 ``any_solution=True`` turns the sweep into a pure well-posedness query:
 workers stop at their shard's first solution, the parent cancels every
@@ -386,8 +390,11 @@ class SweepSpec:
     it as its initializer argument, a socket worker as its ``attach``
     payload, and the in-process runner builds from it too.  Everything is
     by value except the Φ plan's bulk data — ``has_plan`` says the parent
-    compiled one (so the sweep is batched), and a worker maps it by name
-    from ``arena_spec``, compiles it, or receives it.
+    compiled one (so the sweep is batched, certified or not), and a worker
+    maps it by name from ``arena_spec``, compiles it, or receives it.
+    Without a plan (nested knowledge, knowledge in right-hand sides,
+    guards outside the postfix vocabulary) every candidate goes through
+    the resolver.
     ``backend_selection`` replays the parent's backend choice, which a
     spawned child would otherwise lose (the selection is process-global
     state, not environment).
@@ -410,10 +417,12 @@ class ShardSweep:
 
     Built from a :class:`SweepSpec` plus the plan its host acquired —
     parent-compiled, arena-attached, worker-compiled or shipped — or
-    ``None`` for the per-candidate paths.  The resolver is built on first
-    use: batched sweeps need one only when a poisoned candidate forces
-    the exact serial re-run.  Instances share nothing, so concurrent
-    in-process solves never see each other's sweep.
+    ``None`` for plan-less programs, which take the per-candidate
+    resolver paths (:meth:`_resolved`, :meth:`_certified`).  The resolver
+    is built on first use: batched sweeps need one only for a solution's
+    certificate chain or when a poisoned candidate forces the exact
+    serial re-run.  Instances share nothing, so concurrent in-process
+    solves never see each other's sweep.
     """
 
     def __init__(
@@ -460,10 +469,10 @@ class ShardSweep:
         fault_plan = self.spec.fault_plan
         if fault_plan is not None:
             fault_plan.before_shard(index)
-        if self.spec.emit_certificate:
-            result = self._certified(fixed_mask)
-        elif self.plan is not None:
+        if self.plan is not None:
             result = self._batched(fixed_mask)
+        elif self.spec.emit_certificate:
+            result = self._certified(fixed_mask)
         else:
             result = self._resolved(fixed_mask)
         if fault_plan is not None:
@@ -475,37 +484,63 @@ class ShardSweep:
         for gray in gray_masks(self.spec.low_positions):
             yield base | gray
 
-    def _batched(self, fixed_mask: int):
-        plan = self.plan
-        backend = self.backend
-        any_solution = self.spec.any_solution
-        batch_size = self.spec.batch_size
-        space = self.spec.program.space
-        solutions: List[int] = []
-        checked = 0
+    def _blocks(self, fixed_mask: int) -> Iterator[List[int]]:
         block: List[int] = []
-
-        def flush(block: List[int]) -> bool:
-            try:
-                phis = backend.batch_phi(plan, block)
-            except BatchPoisonError:
-                # Some candidate enables a statement outside its domain;
-                # the serial resolver raises the original error for it.
-                resolver = self.resolver
-                phis = [resolver.phi(Predicate(space, m)).mask for m in block]
-            solutions.extend(m for m, value in zip(block, phis) if value == m)
-            return any_solution and bool(solutions)
-
         for mask in self._candidates(fixed_mask):
             block.append(mask)
-            checked += 1
-            if len(block) >= batch_size:
-                if flush(block):
-                    return solutions, checked, []
+            if len(block) >= self.spec.batch_size:
+                yield block
                 block = []
         if block:
-            flush(block)
-        return solutions, checked, []
+            yield block
+
+    def _batched(self, fixed_mask: int):
+        certify = self.spec.emit_certificate
+        any_solution = self.spec.any_solution
+        solutions: List[int] = []
+        evidence: List[Tuple[str, Any]] = []
+        checked = 0
+        for block in self._blocks(fixed_mask):
+            if not certify:
+                checked += len(block)
+                phis = self._block_phis(block)
+                solutions.extend(m for m, phi in zip(block, phis) if phi == m)
+                if any_solution and solutions:
+                    break
+                continue
+            for kind, payload in self._block_evidence(block):
+                checked += 1
+                evidence.append((kind, payload))
+                if kind == "solution":
+                    solutions.append(payload.candidate.mask)
+                    if any_solution:
+                        return solutions, checked, evidence
+        return solutions, checked, evidence
+
+    def _block_phis(self, block: List[int]) -> List[int]:
+        try:
+            return self.backend.batch_phi(self.plan, block)
+        except BatchPoisonError:
+            # Some candidate enables a statement outside its domain;
+            # the serial resolver raises the original error for it.
+            resolver = self.resolver
+            space = self.spec.program.space
+            return [resolver.phi(Predicate(space, m)).mask for m in block]
+
+    def _block_evidence(self, block: List[int]) -> Iterator[Tuple[str, Any]]:
+        from .kbp import _candidate_evidence, _evidence_from_rows
+
+        try:
+            rows = self.backend.batch_phi_rows(self.plan, block)
+        except BatchPoisonError:
+            # The per-candidate path raises the original error at the
+            # first candidate that enables a domain exit.
+            space = self.spec.program.space
+            return (
+                _candidate_evidence(self.resolver, Predicate(space, m))
+                for m in block
+            )
+        return _evidence_from_rows(self.resolver, self.plan, rows, block)
 
     def _resolved(self, fixed_mask: int):
         resolver = self.resolver
@@ -649,7 +684,11 @@ def solve_si_parallel(
 
     ``workers`` defaults to ``REPRO_SOLVER_WORKERS`` or ``min(8, cpus)``;
     ``workers=1`` runs in-process (no executor) but still batches, which
-    is where most of the speedup lives on small hosts.  ``resolver`` is
+    is where most of the speedup lives on small hosts.  Certified sweeps
+    batch as well, building refutation evidence from the kernel's term
+    and guard rows; only programs :func:`compile_phi_plan` cannot lower
+    (nested knowledge, knowledge in right-hand sides, guards outside the
+    postfix vocabulary) sweep candidate by candidate on the resolver.  ``resolver`` is
     honored on the in-process path only — worker processes build their own
     (term caches cannot be shared across process boundaries).
 
@@ -747,11 +786,12 @@ def solve_si_parallel(
 
     resolved_method = _resolve_start_method(start_method)
     arena_mode = _resolve_arena_mode(arena)
-    # The plan is compiled exactly once, parent-side.  The in-process sweep
-    # uses it directly; pool workers either attach the arena built from it
-    # (zero-copy) or, with arenas off, recompile their own — `has_plan`
-    # spares them the attempt when the program is not batchable at all.
-    plan = None if emit_certificate else compile_phi_plan(program)
+    # The plan is compiled exactly once, parent-side, for certified and
+    # uncertified sweeps alike.  The in-process sweep uses it directly;
+    # pool workers either attach the arena built from it (zero-copy) or,
+    # with arenas off, recompile their own — `has_plan` spares them the
+    # attempt when the program is not batchable at all.
+    plan = compile_phi_plan(program)
     backend_selection = get_default_backend()
     if isinstance(backend_selection, PredicateBackend):
         backend_selection = backend_selection.name

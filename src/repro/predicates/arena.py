@@ -21,7 +21,7 @@ groups    ``n_group_tables × size`` int64 — cylinder ``group_of``
 
 Workers receive only an :class:`ArenaSpec` — a few hundred bytes naming
 the segment and indexing its blocks — attach by name, and evaluate
-``batch_phi`` through an :class:`ArenaPlan`: a duck-typed stand-in for
+``batch_phi_rows`` through an :class:`ArenaPlan`: a duck-typed stand-in for
 ``PhiPlan`` whose handles are **read-only views over the mapping** (the
 numpy backend aliases the segment directly; the exact int backend
 necessarily copies through Python ints, which is its representation, not
@@ -254,9 +254,10 @@ class ArenaSpec:
 class ArenaPlan:
     """A ``PhiPlan``-shaped view over an attached arena segment.
 
-    Implements the plan interface ``batch_phi``/``phi_of_mask`` evaluate
-    against — ``init_handle``, ``term_body``, ``group_table``,
-    ``poison_handle``, ``succ_table``, ``static_handle`` — with handles
+    Implements the plan interface ``batch_phi_rows`` evaluates against —
+    ``init_handle``, ``term_body``, ``group_table``, ``poison_handle``,
+    ``succ_table``, ``static_handle`` — plus ``succ_ints`` for certificate
+    evidence, with handles
     built lazily (memoized per backend) from read-only views over the
     shared mapping.  The numpy backend's handles alias the segment with
     zero copies; writes through them raise.
@@ -335,6 +336,10 @@ class ArenaPlan:
             table = backend.table_from_array_in(self.space, self.succ_array(index))
             self._tables[key] = table
         return table
+
+    def succ_ints(self, index: int) -> List[int]:
+        """Statement ``index``'s successor array as Python ints."""
+        return self.succ_array(index).tolist()
 
     def group_table(self, backend, index: int) -> Any:
         term = self.terms[index]

@@ -247,16 +247,45 @@ class PredicateBackend:
     def batch_phi(self, plan, masks) -> List[int]:
         """``Φ(x) = sst_{P_x}(init)`` for a batch of candidate masks.
 
-        The base implementation is the exact per-candidate loop over this
-        backend's scalar kernels — the reference the vectorized overrides
-        must match bit for bit.  ``plan`` is a
+        The projection of :meth:`batch_phi_rows` onto Φ.  ``plan`` is a
         :class:`~repro.predicates.backends.batch.PhiPlan`.
         """
-        return [self.phi_of_mask(plan, mask) for mask in masks]
+        return self.batch_phi_rows(plan, masks).phis
 
-    def phi_of_mask(self, plan, mask: int) -> int:
-        """One candidate's Φ via scalar kernels (eq. 13 + the eq.-3 chain).
+    def batch_phi_rows(self, plan, masks):
+        """Φ for a batch of candidates, with the term and guard rows behind it.
 
+        Returns a :class:`~repro.predicates.backends.batch.PhiRows`.  The
+        base implementation is the exact per-candidate loop over this
+        backend's scalar kernels — the reference the vectorized overrides
+        must match bit for bit.
+        """
+        from .batch import PhiRows
+
+        phis: List[int] = []
+        terms: List[List[Any]] = [[] for _ in plan.terms]
+        guards = [None if s.guard is None else [] for s in plan.statements]
+        for mask in masks:
+            phi, term_handles, guard_handles = self._phi_rows_of_mask(
+                plan, mask
+            )
+            phis.append(phi)
+            for rows, handle in zip(terms, term_handles):
+                rows.append(handle)
+            for rows, handle in zip(guards, guard_handles):
+                if rows is not None:
+                    rows.append(handle)
+        return PhiRows(phis, terms, guards, self, plan.space.size)
+
+    def rows_to_masks(self, rows, size: int) -> List[int]:
+        """A :class:`~repro.predicates.backends.batch.PhiRows` row block as
+        int masks (the base kernel's rows are lists of handles)."""
+        return [self.to_mask(handle, size) for handle in rows]
+
+    def _phi_rows_of_mask(self, plan, mask: int):
+        """One candidate's ``(Φ mask, term handles, guard handles)``.
+
+        eq. 13 for every term, the resolved guards, then the eq.-3 chain.
         ``plan`` is accessed only through the plan interface
         (``init_handle``/``term_body``/``group_table``/``poison_handle``/
         ``succ_table``/``static_handle``), so arena-attached plans evaluate
@@ -306,7 +335,7 @@ class PredicateBackend:
                     )
                 acc = self.or_(acc, post, size)
             if self.equal(acc, current, size):
-                return self.to_mask(current, size)
+                return self.to_mask(current, size), terms, guards
             current = acc
         raise RuntimeError(  # pragma: no cover - monotone chains always stop
             f"batched Φ chain exceeded {size + 2} steps on {size} states"

@@ -15,11 +15,14 @@ partitions, static guard leaves — is shared by every ``P_x``.  A
 arrays so a predicate backend can evaluate Φ for *batches* of candidate
 masks at once without touching programs, expressions, or resolvers:
 
-* :meth:`~repro.predicates.backends.base.PredicateBackend.batch_phi` is
-  the entry point every backend implements — the base class provides an
+* :meth:`~repro.predicates.backends.base.PredicateBackend.batch_phi_rows`
+  is the kernel every backend implements — the base class provides an
   exact per-candidate loop over its scalar kernels (what the int backend
   uses), and the numpy backend overrides it with a fully vectorized sweep
-  over a ``(batch, words)`` ``uint64`` matrix;
+  over a ``(batch, words)`` ``uint64`` matrix.  It returns :class:`PhiRows`:
+  Φ per candidate plus the resolved knowledge-term and guard rows it
+  computed on the way, which is all an eq.-(25) certificate needs besides
+  the successor arrays.  ``batch_phi`` is its projection onto Φ;
 * the plan is *compiled* from a knowledge-based :class:`repro.unity.Program`
   by :func:`repro.core.parallel.compile_phi_plan` (the layering keeps this
   module free of unity/core imports: only masks, names, and index tuples
@@ -32,8 +35,9 @@ richer makes the program ineligible and the solver falls back to the
 per-candidate path.
 
 Exactness contract: for every eligible program and candidate mask,
-``batch_phi`` must return the same mask the serial resolver computes —
-the differential tests enforce this across backends.  States where the
+``batch_phi_rows`` must return the same Φ mask, and the same term and
+guard masks, the serial resolver computes — the differential tests
+enforce this across backends.  States where the
 *unguarded* right-hand sides leave a variable's domain are recorded in
 ``poison_mask``; a candidate whose guard enables such a state raises
 :class:`BatchPoisonError`, and the caller re-runs that candidate serially
@@ -43,7 +47,7 @@ so the exact :class:`~repro.unity.program.GuardDomainError` surfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 class BatchPoisonError(Exception):
@@ -97,6 +101,36 @@ class StatementPlan:
     poison_mask: int = 0
 
 
+@dataclass(frozen=True)
+class PhiRows:
+    """What one ``batch_phi_rows`` kernel call computed for a block.
+
+    ``phis[b]`` is ``Φ`` of the block's ``b``-th candidate.  ``terms[t]``
+    holds knowledge term ``t``'s eq.-(13) resolution and ``guards[s]``
+    statement ``s``'s resolved guard (``None`` for statements without a
+    compiled guard), one row per candidate, in ``backend``'s row form;
+    :meth:`term_masks`/:meth:`guard_masks` convert them to exact int masks
+    on demand, so a Φ-only sweep never pays for the conversion.
+    """
+
+    phis: List[int]
+    terms: Sequence[Any]
+    guards: Sequence[Optional[Any]]
+    backend: Any
+    size: int
+
+    def term_masks(self, index: int) -> List[int]:
+        """Term ``index``'s resolution per candidate, as int masks."""
+        return self.backend.rows_to_masks(self.terms[index], self.size)
+
+    def guard_masks(self, index: int) -> Optional[List[int]]:
+        """Statement ``index``'s resolved guard per candidate, or ``None``."""
+        rows = self.guards[index]
+        if rows is None:
+            return None
+        return self.backend.rows_to_masks(rows, self.size)
+
+
 @dataclass
 class PhiPlan:
     """Candidate-independent compilation of ``Φ`` for one program.
@@ -133,10 +167,10 @@ class PhiPlan:
         return handle
 
     # ------------------------------------------------------------------
-    # the plan interface ``batch_phi`` evaluates against
+    # the plan interface ``batch_phi_rows`` evaluates against
     #
-    # ``phi_of_mask``/``batch_phi`` never touch the raw mask fields below
-    # this line — they go through these accessors, so a plan whose statics
+    # The kernel never touches the raw mask fields below this line — it
+    # goes through these accessors, so a plan whose statics
     # live in a shared-memory arena (repro.predicates.arena.ArenaPlan) can
     # serve zero-copy handles through the identical surface.  Guard postfix
     # programs reference statics by an opaque key (``("static", key)``):
@@ -167,6 +201,10 @@ class PhiPlan:
         if not mask:
             return None
         return self.static_handle(backend, mask)
+
+    def succ_ints(self, index: int) -> Sequence[int]:
+        """Statement ``index``'s successor array as Python ints."""
+        return self.statements[index].succ
 
 
 def eval_guard_postfix(backend, plan: PhiPlan, ops, term_handles, size: int):

@@ -235,13 +235,30 @@ class NumpyWordsBackend(PredicateBackend):
         out[:, :size] = flags[:, group_of]
         return self._pack2d(out)
 
-    def batch_phi(self, plan, masks) -> List[int]:
-        from .batch import BatchPoisonError, eval_guard_postfix
+    def rows_to_masks(self, rows, size: int) -> List[int]:
+        """A ``(B, W)`` word matrix as ``B`` int masks."""
+        if len(rows) == 0:
+            return []
+        if rows.shape[1] == 1:
+            return rows[:, 0].tolist()
+        raw = np.ascontiguousarray(rows).tobytes()
+        width = rows.shape[1] * 8
+        return [
+            int.from_bytes(raw[start : start + width], "little")
+            for start in range(0, len(raw), width)
+        ]
+
+    def batch_phi_rows(self, plan, masks):
+        from .batch import BatchPoisonError, PhiRows, eval_guard_postfix
 
         batch = len(masks)
-        if batch == 0:
-            return []
         size = plan.space.size
+        if batch == 0:
+            return PhiRows(
+                [], [[] for _ in plan.terms],
+                [None if s.guard is None else [] for s in plan.statements],
+                self, size,
+            )
         words = _n_words(size)
         raw = b"".join(mask.to_bytes(words * 8, "little") for mask in masks)
         x = np.frombuffer(raw, dtype="<u8").reshape(batch, words)
@@ -296,9 +313,8 @@ class NumpyWordsBackend(PredicateBackend):
                     )
                 acc = np.bitwise_or(acc, post)
             if np.array_equal(acc, current):
-                return [
-                    int.from_bytes(row.tobytes(), "little") for row in current
-                ]
+                phis = self.rows_to_masks(current, size)
+                return PhiRows(phis, terms, guards, self, size)
             current = acc
         raise RuntimeError(  # pragma: no cover - monotone chains always stop
             f"batched Φ chain exceeded {size + 2} steps on {size} states"

@@ -224,6 +224,23 @@ def labeled_path(
     if allowed_mask is None:
         allowed_mask = (1 << program.space.size) - 1
     arrays = [(s.name, program.successor_array(s)) for s in program.statements]
+    return bfs_path(arrays, source_mask, goal_mask, allowed_mask)
+
+
+def bfs_path(
+    arrays: Sequence[Tuple[str, Sequence[int]]],
+    source_mask: int,
+    goal_mask: int,
+    allowed_mask: int,
+) -> Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]]:
+    """The BFS behind :func:`labeled_path`, over ``(name, successors)`` pairs.
+
+    Sources are visited in ascending index order and each frontier state
+    tries the statements in ``arrays`` order, so the path is a function of
+    the arrays alone — the batched eq.-(25) sweep feeds it guard-masked
+    plan arrays and gets exactly the path :func:`labeled_path` finds on
+    the resolved program.
+    """
     frontier: List[int] = []
     parent: dict = {}
     m = source_mask & allowed_mask
