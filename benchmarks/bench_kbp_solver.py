@@ -198,9 +198,8 @@ def test_zero_copy_dispatch_scaling(benchmark):
     """Speedup vs worker count, plus what dispatch actually ships.
 
     The zero-copy arena claim in numbers: bytes-per-shard stays at the
-    descriptor size (two pickled ints) at every worker count, worker peak
-    RSS is sampled through the transport, and the before/after columns —
-    arena vs ``arena="never"`` — land in the trajectory file.
+    descriptor size (two pickled ints) at every worker count, and worker
+    peak RSS is sampled through the transport.
     """
     rng = random.Random(2025)
     program = _speedup_kbp(rng, _SPEEDUP_FREE_BITS)
@@ -215,21 +214,15 @@ def test_zero_copy_dispatch_scaling(benchmark):
                 program, workers=count, collect_stats=True
             )
             timings[count] = time.perf_counter() - start
-        no_arena = solve_si_parallel(
-            program, workers=2, arena="never", collect_stats=True
-        )
-        return timings, reports, no_arena
+        return timings, reports
 
-    timings, reports, no_arena = once(benchmark, run)
+    timings, reports = once(benchmark, run)
     reference = reports[worker_counts[0]]
     for count in worker_counts[1:]:
         assert reports[count].candidates_checked == reference.candidates_checked
         assert tuple(p.mask for p in reports[count].solutions) == tuple(
             p.mask for p in reference.solutions
         )
-    assert tuple(p.mask for p in no_arena.solutions) == tuple(
-        p.mask for p in reference.solutions
-    )
 
     multi = reports[max(worker_counts)].dispatch.as_dict()
     assert multi["arena_segments"] == 1
@@ -247,7 +240,6 @@ def test_zero_copy_dispatch_scaling(benchmark):
     _RESULTS["peak_worker_rss_kb"] = multi["worker_peak_rss_kb"]
     _RESULTS["arena_bytes"] = multi["arena_bytes"]
     _RESULTS["init_bytes_arena"] = multi["init_bytes"]
-    _RESULTS["init_bytes_no_arena"] = no_arena.dispatch.as_dict()["init_bytes"]
     record(
         benchmark,
         scaling_seconds=scaling,

@@ -27,7 +27,7 @@ silent before the connection is presumed dead".
 Trust model: the digest protects *integrity*, never *authenticity* — a
 frame's sha256 says the bytes survived the wire, not that the peer is
 allowed to send them.  Because the worker protocol carries pickles in
-both directions (attach/plan payloads to the daemon, result bodies back
+both directions (attach payloads to the daemon, result bodies back
 to the coordinator), accepting a frame from an unauthenticated peer is
 arbitrary code execution on the receiver.  The HMAC helpers below
 implement the mutual challenge–response both sides run *before any
@@ -64,8 +64,10 @@ READ_DEADLINE = 600.0
 
 #: Worker protocol tag, echoed in attach handshakes.  /2 added the
 #: mandatory hello/auth handshake ahead of ``attach``; /3 made the attach
-#: body a pickled :class:`~repro.core.parallel.SweepSpec` (was a dict).
-WORKER_PROTOCOL = "repro-worker/3"
+#: body a pickled :class:`~repro.core.parallel.SweepSpec` (was a dict);
+#: /4 put the Φ-plan layout in that spec and made the ``plan`` body the
+#: plan's raw buffer bytes (was a pickled plan).
+WORKER_PROTOCOL = "repro-worker/4"
 
 #: Shared-secret knob for the worker protocol: both the daemon and the
 #: coordinator read it (the daemon also takes ``--key-file``).  Any

@@ -26,8 +26,9 @@ over a transport from :mod:`repro.core.transport`.
 **Batching.**  When the program is *batchable* — every knowledge term
 non-nested, knowledge only in guards, guards Boolean over terms and
 knowledge-free leaves — :func:`compile_phi_plan` freezes Φ into a
-:class:`~repro.predicates.backends.batch.PhiPlan` of plain masks and
-successor arrays, and whole blocks of candidates go through the backend's
+:class:`~repro.predicates.backends.batch.PhiPlan`: one flat buffer of
+static masks, successor arrays and cylinder partitions plus a small
+layout, and whole blocks of candidates go through the backend's
 ``batch_phi`` kernel at once.  On the numpy backend that is a fully
 vectorized sweep over a ``(batch, words)`` uint64 matrix; even single-CPU
 hosts see a large win because the per-candidate Python interpreter cost
@@ -58,8 +59,10 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..predicates import Predicate
-from ..predicates.arena import SolveArena
+from ..predicates.arena import SolveArena, attach_plan
 from ..predicates.backends import (
     PredicateBackend,
     batch_backend_for,
@@ -69,6 +72,7 @@ from ..predicates.backends import (
 from ..predicates.backends.batch import (
     BatchPoisonError,
     PhiPlan,
+    PlanLayout,
     StatementPlan,
     TermPlan,
 )
@@ -98,9 +102,6 @@ WORKERS_ENV_VAR = "REPRO_SOLVER_WORKERS"
 
 #: Environment knob for the pool start method ("fork", "spawn", ...).
 START_METHOD_ENV_VAR = "REPRO_SOLVER_START_METHOD"
-
-#: Environment knob for arena dispatch: "auto" (default) or "never".
-ARENA_ENV_VAR = "REPRO_SOLVER_ARENA"
 
 #: Environment knob: comma-separated ``host:port`` list of
 #: ``python -m repro.worker`` daemons to dispatch shards to over TCP.
@@ -142,14 +143,6 @@ def _resolve_start_method(start_method: Optional[str]) -> str:
             f"(have {methods})"
         )
     return start_method
-
-
-def _resolve_arena_mode(arena: Optional[str]) -> str:
-    if arena is None:
-        arena = os.environ.get(ARENA_ENV_VAR, "").strip().lower() or "auto"
-    if arena not in ("auto", "never"):
-        raise ValueError(f"arena={arena!r} is not one of 'auto', 'never'")
-    return arena
 
 
 def default_workers() -> int:
@@ -197,18 +190,20 @@ def _static_mask(program: Program, expr) -> int:
 
 
 def _guard_ops(
-    program: Program, expr, term_index: Dict[Knowledge, int]
+    program: Program, expr, term_index: Dict[Knowledge, int], intern
 ) -> List[Tuple[Any, ...]]:
-    """Compile a guard into postfix ops over knowledge terms and static leaves."""
+    """Compile a guard into postfix ops over knowledge terms and static
+    leaves (``intern`` maps a leaf's mask to its statics slot)."""
     if isinstance(expr, Knowledge):
         return [("term", term_index[expr])]
     if not expr.knowledge_terms():
-        return [("static", _static_mask(program, expr))]
+        return [("static", intern(_static_mask(program, expr)))]
     if isinstance(expr, Unary) and expr.op == "not":
-        return _guard_ops(program, expr.operand, term_index) + [("not",)]
+        operand = _guard_ops(program, expr.operand, term_index, intern)
+        return operand + [("not",)]
     if isinstance(expr, Binary):
-        left = _guard_ops(program, expr.left, term_index)
-        right = _guard_ops(program, expr.right, term_index)
+        left = _guard_ops(program, expr.left, term_index, intern)
+        right = _guard_ops(program, expr.right, term_index, intern)
         if expr.op == "and":
             return left + right + [("and",)]
         if expr.op == "or":
@@ -219,9 +214,9 @@ def _guard_ops(
             return left + right + [("xor",), ("not",)]
         raise _Ineligible  # knowledge under arithmetic/comparison
     if isinstance(expr, Ite):
-        cond = _guard_ops(program, expr.cond, term_index)
-        then = _guard_ops(program, expr.then, term_index)
-        orelse = _guard_ops(program, expr.orelse, term_index)
+        cond = _guard_ops(program, expr.cond, term_index, intern)
+        then = _guard_ops(program, expr.then, term_index, intern)
+        orelse = _guard_ops(program, expr.orelse, term_index, intern)
         return (
             cond + then + [("and",)] + cond + [("not",)] + orelse
             + [("and",), ("or",)]
@@ -267,9 +262,24 @@ def compile_phi_plan(program: Program) -> Optional[PhiPlan]:
     guard compiles to the postfix Boolean vocabulary with all static leaves
     evaluable everywhere.  Ineligible programs take the per-candidate
     resolver path — still sharded, just not vectorized.
+
+    The plan is written straight into its buffer layout: every distinct
+    static mask is interned once (init, term bodies, poison sets, guard
+    leaves), cylinder partitions are deduplicated by variable tuple, and
+    the three blocks are packed little-endian into one ``bytes``.
     """
+    space = program.space
+    statics: Dict[int, int] = {}  # mask → slot, in slot order
+
+    def intern(mask: int) -> int:
+        return statics.setdefault(mask, len(statics))
+
+    groups: Dict[Tuple[str, ...], int] = {}
+    group_rows: List[Tuple[Any, int]] = []
+    succ_rows: List[Sequence[int]] = []
     terms = sorted(program.knowledge_terms(), key=repr)
     try:
+        init_slot = intern(program.init.mask)
         term_plans = []
         term_index: Dict[Knowledge, int] = {}
         for position, term in enumerate(terms):
@@ -278,30 +288,34 @@ def compile_phi_plan(program: Program) -> Optional[PhiPlan]:
             process = program.processes.get(term.process)
             if process is None:
                 raise _Ineligible
+            variables = tuple(sorted(process.variables))
+            if variables not in groups:
+                groups[variables] = len(group_rows)
+                group_rows.append(space.cylinder_partition_np(variables))
             term_plans.append(
                 TermPlan(
-                    body_mask=_static_mask(program, term.formula),
-                    variables=tuple(sorted(process.variables)),
+                    body_slot=intern(_static_mask(program, term.formula)),
+                    variables=variables,
+                    group_index=groups[variables],
                 )
             )
             term_index[term] = position
         statement_plans = []
         for stmt in program.statements:
             if not stmt.is_knowledge_based():
-                statement_plans.append(
-                    StatementPlan(
-                        name=stmt.name,
-                        succ=tuple(program.successor_array(stmt)),
-                    )
-                )
+                succ_rows.append(program.successor_array(stmt))
+                statement_plans.append(StatementPlan(name=stmt.name))
                 continue
             if any(e.knowledge_terms() for e in stmt.exprs):
                 raise _Ineligible  # candidate-dependent successor arrays
-            guard = tuple(_guard_ops(program, stmt.guard, term_index))
+            guard = tuple(_guard_ops(program, stmt.guard, term_index, intern))
             succ, poison = _unguarded_successors(program, stmt)
+            succ_rows.append(succ)
             statement_plans.append(
                 StatementPlan(
-                    name=stmt.name, succ=succ, guard=guard, poison_mask=poison
+                    name=stmt.name,
+                    guard=guard,
+                    poison_slot=intern(poison) if poison else None,
                 )
             )
     except _Ineligible:
@@ -310,12 +324,21 @@ def compile_phi_plan(program: Program) -> Optional[PhiPlan]:
         # Anything the serial sweep would raise (e.g. a GuardDomainError in
         # a knowledge-free statement) is its to raise — with its own message.
         return None
-    return PhiPlan(
-        space=program.space,
-        init_mask=program.init.mask,
+    layout = PlanLayout(
+        size=space.size,
+        n_statics=len(statics),
+        init_slot=init_slot,
         statements=tuple(statement_plans),
         terms=tuple(term_plans),
+        group_counts=tuple(int(count) for _, count in group_rows),
     )
+    width = layout.n_words * 8
+    buffer = b"".join(
+        [mask.to_bytes(width, "little") for mask in statics]
+        + [np.asarray(row, dtype="<i8").tobytes() for row in succ_rows]
+        + [np.asarray(row, dtype="<i8").tobytes() for row, _ in group_rows]
+    )
+    return PhiPlan(layout, space, buffer)
 
 
 # ----------------------------------------------------------------------
@@ -389,12 +412,13 @@ class SweepSpec:
     The one thing that crosses into a sweeping process: a local pool gets
     it as its initializer argument, a socket worker as its ``attach``
     payload, and the in-process runner builds from it too.  Everything is
-    by value except the Φ plan's bulk data — ``has_plan`` says the parent
-    compiled one (so the sweep is batched, certified or not), and a worker
-    maps it by name from ``arena_spec``, compiles it, or receives it.
-    Without a plan (nested knowledge, knowledge in right-hand sides,
-    guards outside the postfix vocabulary) every candidate goes through
-    the resolver.
+    by value except the Φ plan's buffer: ``plan_layout`` is set when the
+    parent compiled a plan (so the sweep is batched, certified or not),
+    and a sweeping process maps the buffer from the shared-memory segment
+    the layout names or, when that segment does not resolve, receives its
+    bytes.  Without a plan (nested knowledge, knowledge in right-hand
+    sides, guards outside the postfix vocabulary) every candidate goes
+    through the resolver.
     ``backend_selection`` replays the parent's backend choice, which a
     spawned child would otherwise lose (the selection is process-global
     state, not environment).
@@ -408,17 +432,16 @@ class SweepSpec:
     batch_size: int
     fault_plan: Optional[Any] = None
     backend_selection: Optional[str] = None
-    arena_spec: Optional[Any] = None
-    has_plan: bool = False
+    plan_layout: Optional[PlanLayout] = None
 
 
 class ShardSweep:
     """One solve's per-shard sweep: ``run(index, fixed_mask)``.
 
     Built from a :class:`SweepSpec` plus the plan its host acquired —
-    parent-compiled, arena-attached, worker-compiled or shipped — or
+    the parent's compiled bytes, an arena mapping or shipped bytes — or
     ``None`` for plan-less programs, which take the per-candidate
-    resolver paths (:meth:`_resolved`, :meth:`_certified`).  The resolver
+    resolver loop (:meth:`_resolved`).  The resolver
     is built on first use: batched sweeps need one only for a solution's
     certificate chain or when a poisoned candidate forces the exact
     serial re-run.  Instances share nothing, so concurrent in-process
@@ -451,9 +474,8 @@ class ShardSweep:
 
     def close(self) -> None:
         """Unmap an arena-attached plan (other plans hold no mapping)."""
-        close = getattr(self.plan, "close", None)
-        if close is not None:
-            close()
+        if self.plan is not None:
+            self.plan.close()
 
     def run(
         self, index: int, fixed_mask: int
@@ -471,8 +493,6 @@ class ShardSweep:
             fault_plan.before_shard(index)
         if self.plan is not None:
             result = self._batched(fixed_mask)
-        elif self.spec.emit_certificate:
-            result = self._certified(fixed_mask)
         else:
             result = self._resolved(fixed_mask)
         if fault_plan is not None:
@@ -543,36 +563,27 @@ class ShardSweep:
         return _evidence_from_rows(self.resolver, self.plan, rows, block)
 
     def _resolved(self, fixed_mask: int):
-        resolver = self.resolver
-        space = self.spec.program.space
-        any_solution = self.spec.any_solution
-        solutions: List[int] = []
-        checked = 0
-        for mask in self._candidates(fixed_mask):
-            checked += 1
-            candidate = Predicate(space, mask)
-            if resolver.phi(candidate) == candidate:
-                solutions.append(mask)
-                if any_solution:
-                    break
-        return solutions, checked, []
-
-    def _certified(self, fixed_mask: int):
+        """The per-candidate resolver loop, with evidence when certifying."""
         from .kbp import _candidate_evidence
 
         resolver = self.resolver
         space = self.spec.program.space
-        any_solution = self.spec.any_solution
+        certify = self.spec.emit_certificate
         solutions: List[int] = []
         checked = 0
         evidence: List[Tuple[str, Any]] = []
         for mask in self._candidates(fixed_mask):
             checked += 1
-            kind, payload = _candidate_evidence(resolver, Predicate(space, mask))
-            evidence.append((kind, payload))
-            if kind == "solution":
+            candidate = Predicate(space, mask)
+            if certify:
+                kind, payload = _candidate_evidence(resolver, candidate)
+                evidence.append((kind, payload))
+                solved = kind == "solution"
+            else:
+                solved = resolver.phi(candidate) == candidate
+            if solved:
                 solutions.append(mask)
-                if any_solution:
+                if self.spec.any_solution:
                     break
         return solutions, checked, evidence
 
@@ -585,21 +596,20 @@ _POOL_SWEEP: Optional[ShardSweep] = None
 def _init_worker(spec: SweepSpec) -> None:
     """Pool-process initializer, spawn-start-method clean.
 
-    Replays the parent's backend choice, gets the plan — re-attached by
-    segment name from the arena (zero-copy views, no recompilation, no
-    pickled successor arrays), or compiled locally with arenas off — and
-    builds the process's :class:`ShardSweep`.
+    Replays the parent's backend choice, maps the plan by segment name
+    from the arena (zero-copy views, no recompilation, no pickled
+    successor arrays) and builds the process's :class:`ShardSweep`.
     """
     global _POOL_SWEEP
     if spec.backend_selection is not None:
         set_default_backend(spec.backend_selection)
     plan = None
-    if spec.has_plan:
-        plan = (
-            spec.arena_spec.attach(spec.program.space)
-            if spec.arena_spec is not None
-            else compile_phi_plan(spec.program)
-        )
+    if spec.plan_layout is not None:
+        plan = attach_plan(spec.plan_layout, spec.program.space)
+        if plan is None:  # the parent holds the segment for the whole solve
+            raise FileNotFoundError(
+                f"arena segment {spec.plan_layout.segment!r} does not resolve"
+            )
     _POOL_SWEEP = ShardSweep(spec, plan)
 
 
@@ -669,7 +679,6 @@ def solve_si_parallel(
     fault_plan: Optional[Any] = None,
     progress: Optional[Any] = None,
     start_method: Optional[str] = None,
-    arena: Optional[str] = None,
     collect_stats: bool = False,
     remote_workers: Optional[Sequence[str]] = None,
 ):
@@ -785,12 +794,10 @@ def solve_si_parallel(
     )
 
     resolved_method = _resolve_start_method(start_method)
-    arena_mode = _resolve_arena_mode(arena)
     # The plan is compiled exactly once, parent-side, for certified and
-    # uncertified sweeps alike.  The in-process sweep uses it directly;
-    # pool workers either attach the arena built from it (zero-copy) or,
-    # with arenas off, recompile their own — `has_plan` spares them the
-    # attempt when the program is not batchable at all.
+    # uncertified sweeps alike.  The in-process sweep reads its bytes
+    # directly; pool workers and socket workers map the arena copied from
+    # them, and a socket worker that cannot map it receives the bytes.
     plan = compile_phi_plan(program)
     backend_selection = get_default_backend()
     if isinstance(backend_selection, PredicateBackend):
@@ -804,7 +811,7 @@ def solve_si_parallel(
         batch_size=batch_size,
         fault_plan=fault_plan,
         backend_selection=backend_selection,
-        has_plan=plan is not None,
+        plan_layout=plan.layout if plan is not None else None,
     )
     stats = DispatchStats(start_method=resolved_method) if workers > 1 else None
     arena_holder: List[Optional[SolveArena]] = [None]
@@ -818,14 +825,14 @@ def solve_si_parallel(
         # never pays for either), and one arena serves every pool respawn
         # (workers re-attach by segment name).
         worker_spec = spec
-        if arena_mode == "auto" and plan is not None:
+        if plan is not None:
             if arena_holder[0] is None:
                 digest = payload_digest(header["program"]).split(":", 1)[-1]
                 arena_holder[0] = SolveArena.build(plan, digest)
                 if stats is not None:
                     stats.arena_bytes = arena_holder[0].nbytes
                     stats.arena_segments = 1
-            worker_spec = replace(spec, arena_spec=arena_holder[0].spec)
+            worker_spec = replace(spec, plan_layout=arena_holder[0].layout)
         if addresses:
             try:
                 return SocketTransport(

@@ -86,17 +86,18 @@ class DispatchStats:
     One stats object can serve several transports in sequence — a solve
     that degrades from socket workers to a local pool keeps accumulating
     into the same instance, and ``transports`` records every dispatch
-    mechanism that carried shards.  :meth:`as_dict` output survives a
-    JSON round-trip through :meth:`from_dict`, and :meth:`merge` combines
-    two accounts (e.g. per-transport snapshots) into one; derived values
-    like ``bytes_per_shard`` are always recomputed from the counts, never
-    trusted from a serialized copy.
+    mechanism that carried shards.  :meth:`as_dict` is the JSON-safe
+    export; derived values like ``bytes_per_shard`` are computed from the
+    counts, never stored.
     """
 
     start_method: str = ""
     shards_dispatched: int = 0
     bytes_dispatched: int = 0
-    #: pickled size of the worker initializer's arguments (once per worker)
+    #: pickled size of the one-time worker payload — a local pool's
+    #: initargs, a socket transport's attach body — counted once per
+    #: transport built (a respawned pool counts again), however many
+    #: workers receive it
     init_bytes: int = 0
     #: size of the shared-memory arena, 0 when no arena was built
     arena_bytes: int = 0
@@ -111,7 +112,7 @@ class DispatchStats:
     #: wire bytes sent to / received from socket workers (frames included)
     net_bytes_sent: int = 0
     net_bytes_received: int = 0
-    #: bytes of Φ-plan payload shipped to workers that could not reach the arena
+    #: Φ-plan bytes shipped to socket workers that could not map the arena
     plan_payload_bytes: int = 0
     #: connect/IO retries per worker address
     worker_retries: Dict[str, int] = field(default_factory=dict)
@@ -124,9 +125,9 @@ class DispatchStats:
     def bytes_per_shard(self) -> float:
         """Mean per-shard payload; exactly 0.0 when nothing was dispatched.
 
-        Derived — never stored, never rounded internally — so merged and
-        round-tripped stats recompute it from the raw counts instead of
-        averaging averages.
+        Derived from the raw counts — never stored, never rounded
+        internally — so a solve that used several transports reports the
+        true overall mean, not an average of averages.
         """
         if self.shards_dispatched <= 0:
             return 0.0
@@ -159,58 +160,6 @@ class DispatchStats:
             "workers_lost": self.workers_lost,
             "duplicate_results": self.duplicate_results,
         }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "DispatchStats":
-        """Rebuild stats from :meth:`as_dict` output (JSON round-trip safe).
-
-        ``bytes_per_shard`` in the input is ignored — it is derived state,
-        and the serialized copy is rounded; trusting it would make
-        round-tripped stats disagree with their own counts.
-        """
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        kwargs = {k: v for k, v in doc.items() if k in known}
-        kwargs["transports"] = list(kwargs.get("transports", []))
-        kwargs["worker_retries"] = dict(kwargs.get("worker_retries", {}))
-        return cls(**kwargs)
-
-    def merge(self, other: "DispatchStats") -> "DispatchStats":
-        """Combine two accounts into a new one (counts add, peaks max).
-
-        A degraded solve that dispatched through both a socket transport
-        and a local pool merges to one account whose ``bytes_per_shard``
-        is the true overall mean — total bytes over total shards — not an
-        average of the two per-transport means.
-        """
-        retries = dict(self.worker_retries)
-        for address, count in other.worker_retries.items():
-            retries[address] = retries.get(address, 0) + count
-        transports = list(self.transports)
-        for name in other.transports:
-            if name not in transports:
-                transports.append(name)
-        return DispatchStats(
-            start_method=self.start_method or other.start_method,
-            shards_dispatched=self.shards_dispatched + other.shards_dispatched,
-            bytes_dispatched=self.bytes_dispatched + other.bytes_dispatched,
-            init_bytes=self.init_bytes + other.init_bytes,
-            arena_bytes=max(self.arena_bytes, other.arena_bytes),
-            arena_segments=max(self.arena_segments, other.arena_segments),
-            worker_peak_rss_kb=max(
-                self.worker_peak_rss_kb, other.worker_peak_rss_kb
-            ),
-            transports=transports,
-            frames_sent=self.frames_sent + other.frames_sent,
-            frames_received=self.frames_received + other.frames_received,
-            net_bytes_sent=self.net_bytes_sent + other.net_bytes_sent,
-            net_bytes_received=self.net_bytes_received
-            + other.net_bytes_received,
-            plan_payload_bytes=self.plan_payload_bytes
-            + other.plan_payload_bytes,
-            worker_retries=retries,
-            workers_lost=self.workers_lost + other.workers_lost,
-            duplicate_results=self.duplicate_results + other.duplicate_results,
-        )
 
 
 def _probe_worker_rss(pause: float) -> Tuple[int, int]:
@@ -401,9 +350,9 @@ class SocketTransport(ShardTransport):
     Construction connects to and *attaches* every address: the worker
     receives the solve's program digest plus the pickled
     :class:`~repro.core.parallel.SweepSpec` (program, shard layout, solver
-    flags, arena spec) and either maps the shared-memory arena by name or
+    flags, plan layout) and either maps the shared-memory arena by name or
     — when the segment does not resolve, e.g. on another host — asks for
-    and receives the full Φ-plan payload.  A worker none of whose connect
+    and receives the Φ plan's raw buffer bytes.  A worker none of whose connect
     attempts succeed (``policy.max_retries`` retries, each after a
     :func:`~repro.robustness.backoff` pause) is simply skipped; zero attached
     workers raises :class:`SocketTransportError` so the caller can
@@ -458,7 +407,6 @@ class SocketTransport(ShardTransport):
             spec, protocol=pickle.HIGHEST_PROTOCOL
         )
         self._plan = plan
-        self._plan_payload: Optional[bytes] = None
         self._queue: "queue.Queue[_SocketTask]" = queue.Queue()
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -675,21 +623,7 @@ class SocketTransport(ShardTransport):
                 "worker asked for a plan payload but this solve has no "
                 "batchable plan (resolver-path programs ship no plan)"
             )
-        if self._plan_payload is None:
-            from ..predicates.backends.batch import PhiPlan
-
-            # A memo-free copy: the parent plan's per-backend handle memos
-            # are process-local state and would only bloat the payload.
-            bare = PhiPlan(
-                space=self._plan.space,
-                init_mask=self._plan.init_mask,
-                statements=self._plan.statements,
-                terms=self._plan.terms,
-            )
-            self._plan_payload = pickle.dumps(
-                bare, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return self._plan_payload
+        return self._plan.buffer
 
     def _count_sent(self, nbytes: int) -> None:
         if self.stats is not None:

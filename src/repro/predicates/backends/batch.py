@@ -11,9 +11,28 @@ ingredients actually vary:
 
 Everything else — successor arrays, the initial condition, cylinder
 partitions, static guard leaves — is shared by every ``P_x``.  A
-:class:`PhiPlan` freezes that shared structure as plain masks and index
-arrays so a predicate backend can evaluate Φ for *batches* of candidate
-masks at once without touching programs, expressions, or resolvers:
+:class:`PhiPlan` holds that shared structure as **one flat buffer** plus a
+small :class:`PlanLayout` descriptor, so a predicate backend can evaluate Φ
+for *batches* of candidate masks at once without touching programs,
+expressions, or resolvers.  The buffer has three little-endian blocks:
+
+========  ============================================================
+block     contents
+========  ============================================================
+statics   ``n_statics × n_words`` uint64 — every distinct constant
+          bitset the plan references (init, knowledge-term bodies,
+          poison sets, static guard leaves), interned by mask
+succ      ``n_statements × size`` int64 — unguarded successor arrays
+groups    ``n_group_tables × size`` int64 — cylinder ``group_of``
+          partitions, deduplicated by variable tuple
+========  ============================================================
+
+The same bytes serve every route a sweep can take: in-process sweeps
+read the compiled ``bytes``, pool processes and same-host worker daemons
+map a shared-memory copy by name (:mod:`repro.predicates.arena`), and
+remote daemons receive the bytes as a frame body.  :class:`PhiPlan` is
+the one decoder for all three, and it fails closed with
+:class:`PlanDecodeError` on a buffer that does not fit its layout.
 
 * :meth:`~repro.predicates.backends.base.PredicateBackend.batch_phi_rows`
   is the kernel every backend implements — the base class provides an
@@ -29,7 +48,7 @@ masks at once without touching programs, expressions, or resolvers:
   appear here).
 
 Guards are compiled to a tiny postfix program over the stack ops
-``("term", i)``, ``("static", mask)``, ``("not",)``, ``("and",)``,
+``("term", i)``, ``("static", slot)``, ``("not",)``, ``("and",)``,
 ``("or",)``, ``("xor",)`` — enough for the Boolean connectives; anything
 richer makes the program ineligible and the solver falls back to the
 per-candidate path.
@@ -39,15 +58,18 @@ Exactness contract: for every eligible program and candidate mask,
 guard masks, the serial resolver computes — the differential tests
 enforce this across backends.  States where the
 *unguarded* right-hand sides leave a variable's domain are recorded in
-``poison_mask``; a candidate whose guard enables such a state raises
-:class:`BatchPoisonError`, and the caller re-runs that candidate serially
-so the exact :class:`~repro.unity.program.GuardDomainError` surfaces.
+each statement's poison set; a candidate whose guard enables such a state
+raises :class:`BatchPoisonError`, and the caller re-runs that candidate
+serially so the exact :class:`~repro.unity.program.GuardDomainError`
+surfaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class BatchPoisonError(Exception):
@@ -67,38 +89,91 @@ class BatchPoisonError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class TermPlan:
-    """One knowledge term ``K_V(body)`` with its SI-independent pieces.
+class PlanDecodeError(ValueError):
+    """A Φ-plan buffer or layout that does not describe a valid plan.
 
-    ``body_mask`` is the exact bitset of the (knowledge-free) formula under
-    the ``K``; ``variables`` is the owning process's view — the cylinder
-    key of eq. (13)'s ``wcyl``.
+    Raised for a buffer whose length is not the layout's ``total_bytes``,
+    a successor entry outside ``[0, size)``, a group id outside its
+    table's ``[0, n_groups)``, a group count outside ``[1, size]``, or a
+    slot/index the layout cannot resolve.
+    An out-of-range successor would otherwise make the int kernel's
+    ``1 << succ[i]`` allocate without bound.
     """
 
-    body_mask: int
+
+@dataclass(frozen=True)
+class TermPlan:
+    """One knowledge term ``K_V(body)``: where its pieces live in the buffer.
+
+    ``body_slot`` is the statics slot of the (knowledge-free) formula under
+    the ``K``; ``variables`` is the owning process's view — the cylinder
+    key of eq. (13)'s ``wcyl``, from which backends without an index-array
+    group form rebuild the partition; ``group_index`` is its row in the
+    groups block.
+    """
+
+    body_slot: int
     variables: Tuple[str, ...]
+    group_index: int
 
 
 @dataclass(frozen=True)
 class StatementPlan:
-    """One statement's successor map plus (for knowledge-based ones) its guard.
+    """One statement's guard program and poison set (its ``succ`` row is
+    the statement's index in the succ block).
 
-    ``guard is None`` means the successor array already encodes the full
+    ``guard is None`` means the successor row already encodes the full
     statement semantics (knowledge-free statement, guard included as skip).
-    Otherwise ``succ`` is the *unguarded* assignment successor and the
+    Otherwise the row is the *unguarded* assignment successor and the
     postfix ``guard`` program decides, per candidate, where it applies:
 
         sp.s.p = image(p ∧ g, succ) ∨ (p ∧ ¬g)
 
-    ``poison_mask`` marks states where the unguarded successor is undefined
-    (domain exit); enabling one is a :class:`BatchPoisonError`.
+    ``poison_slot`` names the statics slot of the states where the
+    unguarded successor is undefined (domain exit), ``None`` when there
+    are none; enabling one is a :class:`BatchPoisonError`.
     """
 
     name: str
-    succ: Tuple[int, ...]
     guard: Optional[Tuple[Tuple[Any, ...], ...]] = None
-    poison_mask: int = 0
+    poison_slot: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class PlanLayout:
+    """The small descriptor that locates everything in a plan buffer.
+
+    A few hundred bytes, independent of how the buffer travels.
+    ``group_counts[g]`` is group table ``g``'s number of groups;
+    ``segment`` names the shared-memory segment holding a copy of the
+    buffer, ``""`` while the plan lives only in its compiled bytes.
+    """
+
+    size: int
+    n_statics: int
+    init_slot: int
+    statements: Tuple[StatementPlan, ...]
+    terms: Tuple[TermPlan, ...]
+    group_counts: Tuple[int, ...]
+    segment: str = ""
+
+    @property
+    def n_words(self) -> int:
+        return (self.size + 63) >> 6
+
+    @property
+    def statics_bytes(self) -> int:
+        return self.n_statics * self.n_words * 8
+
+    @property
+    def succ_bytes(self) -> int:
+        return len(self.statements) * self.size * 8
+
+    @property
+    def total_bytes(self) -> int:
+        return self.statics_bytes + self.succ_bytes + (
+            len(self.group_counts) * self.size * 8
+        )
 
 
 @dataclass(frozen=True)
@@ -131,80 +206,184 @@ class PhiRows:
         return self.backend.rows_to_masks(rows, self.size)
 
 
-@dataclass
 class PhiPlan:
-    """Candidate-independent compilation of ``Φ`` for one program.
+    """Candidate-independent compilation of ``Φ`` over one plan buffer.
 
-    Carries per-backend memos for successor tables and static handles so a
-    backend converts each shared mask/array exactly once per process.
+    ``buffer`` is any bytes-like object holding the layout's three blocks
+    — compiled ``bytes``, a received frame body, or a read-only view over
+    a shared-memory mapping (``segment`` is then the mapping, unmapped by
+    :meth:`close`).  Construction validates the buffer against the layout
+    (:class:`PlanDecodeError` otherwise); handles are built lazily and
+    memoized per backend, over read-only views of the buffer (the numpy
+    backend aliases it with zero copies).
     """
 
-    space: Any  # repro.statespace.StateSpace (duck-typed; no import cycle)
-    init_mask: int
-    statements: Tuple[StatementPlan, ...]
-    terms: Tuple[TermPlan, ...]
-    _tables: Dict[Tuple[str, int], Any] = field(default_factory=dict, repr=False)
-    _statics: Dict[Tuple[str, int], Any] = field(default_factory=dict, repr=False)
-
-    def succ_table(self, backend, index: int) -> Any:
-        """Statement ``index``'s successor map in ``backend``'s preferred form."""
-        key = (backend.name, index)
-        table = self._tables.get(key)
-        if table is None:
-            table = backend.table_from_array_in(
-                self.space, self.statements[index].succ
+    def __init__(self, layout: PlanLayout, space, buffer, segment=None):
+        view = memoryview(buffer)
+        if view.nbytes != layout.total_bytes:
+            raise PlanDecodeError(
+                f"plan buffer is {view.nbytes} bytes; its layout needs "
+                f"{layout.total_bytes}"
             )
-            self._tables[key] = table
-        return table
+        if space.size != layout.size:
+            raise PlanDecodeError(
+                f"plan was built over {layout.size} states; space has "
+                f"{space.size}"
+            )
+        _check_indices(layout)
+        self.layout = layout
+        self.space = space
+        self.buffer = buffer
+        self.segment = segment
+        size = layout.size
+        self._succ = _int64_rows(
+            view, layout.statics_bytes, len(layout.statements), size
+        )
+        self._groups = _int64_rows(
+            view,
+            layout.statics_bytes + layout.succ_bytes,
+            len(layout.group_counts),
+            size,
+        )
+        for index, row in enumerate(self._succ):
+            if row.size and (row.min() < 0 or row.max() >= size):
+                raise PlanDecodeError(
+                    f"statement {index}'s successor array leaves [0, {size})"
+                )
+        for index, (row, count) in enumerate(
+            zip(self._groups, layout.group_counts)
+        ):
+            if row.size and (row.min() < 0 or row.max() >= count):
+                raise PlanDecodeError(
+                    f"group table {index} has a group id outside [0, {count})"
+                )
+        self._memo: Dict[Tuple[Any, ...], Any] = {}
 
-    def static_handle(self, backend, mask: int) -> Any:
-        """A shared constant mask as a backend handle (memoized per backend)."""
-        key = (backend.name, mask)
-        handle = self._statics.get(key)
-        if handle is None:
-            handle = backend.from_mask_in(self.space, mask)
-            self._statics[key] = handle
-        return handle
+    @property
+    def statements(self) -> Tuple[StatementPlan, ...]:
+        return self.layout.statements
+
+    @property
+    def terms(self) -> Tuple[TermPlan, ...]:
+        return self.layout.terms
+
+    def _memoized(self, key: Tuple[Any, ...], build: Callable[[], Any]) -> Any:
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     # ------------------------------------------------------------------
     # the plan interface ``batch_phi_rows`` evaluates against
     #
-    # The kernel never touches the raw mask fields below this line — it
-    # goes through these accessors, so a plan whose statics
-    # live in a shared-memory arena (repro.predicates.arena.ArenaPlan) can
-    # serve zero-copy handles through the identical surface.  Guard postfix
-    # programs reference statics by an opaque key (``("static", key)``):
-    # for a PhiPlan the key *is* the mask, for an ArenaPlan it is a slot.
+    # The kernel goes through these accessors only.  Guard postfix
+    # programs reference statics by slot (``("static", slot)``).
     # ------------------------------------------------------------------
+
+    def static_handle(self, backend, slot: int) -> Any:
+        """Statics slot ``slot`` as a backend handle."""
+        width = self.layout.n_words * 8
+
+        def build():
+            view = memoryview(self.buffer)[slot * width : (slot + 1) * width]
+            return backend.from_buffer_in(self.space, view.toreadonly())
+
+        return self._memoized((backend.name, "static", slot), build)
 
     def init_handle(self, backend) -> Any:
         """The initial condition as a backend handle."""
-        return self.static_handle(backend, self.init_mask)
+        return self.static_handle(backend, self.layout.init_slot)
 
     def term_body(self, backend, index: int) -> Any:
         """Knowledge term ``index``'s body predicate as a backend handle."""
-        return self.static_handle(backend, self.terms[index].body_mask)
-
-    def group_table(self, backend, index: int) -> Any:
-        """Term ``index``'s cylinder partition in ``backend``'s form."""
-        variables = self.terms[index].variables
-        key = (backend.name, variables)
-        table = self._tables.get(key)
-        if table is None:
-            table = backend.group_table(self.space, variables)
-            self._tables[key] = table
-        return table
+        return self.static_handle(backend, self.terms[index].body_slot)
 
     def poison_handle(self, backend, index: int) -> Optional[Any]:
         """Statement ``index``'s poison set, or ``None`` when empty."""
-        mask = self.statements[index].poison_mask
-        if not mask:
-            return None
-        return self.static_handle(backend, mask)
+        slot = self.statements[index].poison_slot
+        return None if slot is None else self.static_handle(backend, slot)
 
-    def succ_ints(self, index: int) -> Sequence[int]:
+    def succ_table(self, backend, index: int) -> Any:
+        """Statement ``index``'s successor map in ``backend``'s form."""
+        return self._memoized(
+            (backend.name, "succ", index),
+            lambda: backend.table_from_array_in(self.space, self._succ[index]),
+        )
+
+    def group_table(self, backend, index: int) -> Any:
+        """Term ``index``'s cylinder partition in ``backend``'s form."""
+        term = self.terms[index]
+
+        def build():
+            try:
+                return backend.group_table_from_array(
+                    self._groups[term.group_index],
+                    self.layout.group_counts[term.group_index],
+                    self.layout.size,
+                )
+            except NotImplementedError:
+                # Backends with a name-derived group form (int's big-int
+                # group masks, robdd's level sets) rebuild from the space.
+                return backend.group_table(self.space, term.variables)
+
+        return self._memoized((backend.name, "group", term.group_index), build)
+
+    def succ_ints(self, index: int) -> List[int]:
         """Statement ``index``'s successor array as Python ints."""
-        return self.statements[index].succ
+        return self._memoized(("ints", index), self._succ[index].tolist)
+
+    def close(self) -> None:
+        """Drop cached handles; unmap a shared-memory segment (never unlink).
+
+        With live numpy views still referencing the mapping the close is
+        refused by the buffer protocol; the mapping then simply lives
+        until the process exits, which is exactly as long as those views
+        can be dereferenced.
+        """
+        self._memo.clear()
+        self._succ = self._groups = None
+        if self.segment is not None:
+            try:
+                self.buffer.release()
+                self.segment.close()
+            except BufferError:  # exported views outlive us; the OS reaps
+                pass
+
+
+def _int64_rows(view: memoryview, offset: int, rows: int, size: int):
+    """A read-only ``(rows, size)`` int64 view of one buffer block."""
+    return np.frombuffer(
+        view.toreadonly(), dtype="<i8", count=rows * size, offset=offset
+    ).reshape(rows, size)
+
+
+def _check_indices(layout: PlanLayout) -> None:
+    """Every slot, term and group reference resolves inside the layout."""
+    slots = [layout.init_slot]
+    slots += [term.body_slot for term in layout.terms]
+    for stmt in layout.statements:
+        if stmt.poison_slot is not None:
+            slots.append(stmt.poison_slot)
+        for op in stmt.guard or ():
+            if op[0] == "static":
+                slots.append(op[1])
+            elif op[0] == "term" and not 0 <= op[1] < len(layout.terms):
+                raise PlanDecodeError(
+                    f"guard of {stmt.name!r} names missing term {op[1]}"
+                )
+    if any(not 0 <= slot < layout.n_statics for slot in slots):
+        raise PlanDecodeError(
+            f"layout names a statics slot outside [0, {layout.n_statics})"
+        )
+    for term in layout.terms:
+        if not 0 <= term.group_index < len(layout.group_counts):
+            raise PlanDecodeError(
+                f"a term names missing group table {term.group_index}"
+            )
+    # A partition of ``size`` states has at most ``size`` groups; a larger
+    # count would size the numpy kernel's per-group flags without bound.
+    if any(not 1 <= count <= layout.size for count in layout.group_counts):
+        raise PlanDecodeError(f"a group count lies outside [1, {layout.size}]")
 
 
 def eval_guard_postfix(backend, plan: PhiPlan, ops, term_handles, size: int):

@@ -30,7 +30,7 @@ faults fired.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -314,9 +314,7 @@ class ShardSupervisor:
         policy = self.policy
         inflight: Dict[Any, Tuple[int, float]] = {}
         for index in todo:
-            inflight[
-                self._pool.submit(self.task, index, self.shard_masks[index])
-            ] = (index, time.monotonic())
+            inflight[self._submit(index)] = (index, time.monotonic())
 
         while inflight:
             timeout = (
@@ -414,12 +412,26 @@ class ShardSupervisor:
                             attempt=attempts[index],
                             detail=f"re-dispatched after {pause:.3f}s backoff",
                         )
-                        inflight[
-                            self._pool.submit(
-                                self.task, index, self.shard_masks[index]
-                            )
-                        ] = (index, time.monotonic())
+                        inflight[self._submit(index)] = (
+                            index, time.monotonic()
+                        )
         return False
+
+    def _submit(self, index: int) -> Future:
+        """Lease one shard to the pool.
+
+        A pool can break while shards are still being submitted (a worker
+        crashed on an earlier shard); ``submit`` then raises instead of
+        returning a future.  The failure is handed back as a failed
+        future, so it takes the same respawn-and-retry path as a crash
+        observed through a result.
+        """
+        try:
+            return self._pool.submit(self.task, index, self.shard_masks[index])
+        except BrokenProcessPool as exc:
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
 
     def _triage(
         self,

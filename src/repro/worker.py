@@ -17,13 +17,17 @@ format of :mod:`repro.core.netproto`:
    non-loopback interface without a key is refused at startup;
 2. the coordinator sends ``attach`` — the solve's program digest in the
    header, the pickled :class:`~repro.core.parallel.SweepSpec` (program,
-   shard layout, solver flags, arena spec) in the body.  The daemon
+   shard layout, solver flags, Φ-plan layout) in the body.  The daemon
    re-derives the program digest from what it unpickled and refuses a
    mismatch: a worker never computes against a program other than the
    one it claims to serve;
-3. the daemon maps the shared-memory arena by name when it can (same
-   host), and otherwise answers ``need-plan`` — the coordinator ships the
-   full Φ-plan payload, which is exactly the remote-host fallback;
+3. when the spec carries a plan layout, the daemon maps the
+   shared-memory segment it names (same host).  If that segment does not
+   resolve here, it answers ``need-plan`` and the coordinator sends a
+   ``plan`` frame whose body is the plan's raw buffer — the same bytes,
+   not a pickle — which the daemon decodes against the layout and
+   refuses, with an ``error`` frame that ends the session, when the
+   length or any successor or group id is out of range;
 4. each ``shard`` frame names ``(index, fixed_mask, attempt)``; the
    daemon sweeps it with the *same* ``ShardSweep.run`` a pool worker runs
    and answers a ``result`` frame keyed by that mask and attempt, sending
@@ -67,7 +71,9 @@ from .core.netproto import (
     recv_frame,
     send_frame,
 )
+from .predicates.arena import attach_plan
 from .predicates.backends import set_default_backend
+from .predicates.backends.batch import PhiPlan, PlanDecodeError
 
 #: Only one session at a time: the sweep itself is per-session, but the
 #: backend selection it replays (``set_default_backend``) is process-global.
@@ -275,17 +281,15 @@ class Session:
         if spec.backend_selection is not None:
             set_default_backend(spec.backend_selection)
         # Plan acquisition: arena by name when the segment resolves on this
-        # host, the shipped payload otherwise — never a local recompile,
-        # so the worker computes over exactly the coordinator's plan.
+        # host, the shipped bytes otherwise — never a local recompile, so
+        # the worker computes over exactly the coordinator's plan.
         plan = None
         mode = "resolver"
-        if spec.has_plan:
-            if spec.arena_spec is not None:
-                plan = spec.arena_spec.try_attach(spec.program.space)
-            if plan is not None:
-                mode = "arena"
-            else:
-                plan, mode = self._receive_plan(actual), "payload"
+        if spec.plan_layout is not None:
+            plan = attach_plan(spec.plan_layout, spec.program.space)
+            mode = "arena"
+            if plan is None:
+                plan, mode = self._receive_plan(actual, spec), "payload"
         if hasattr(spec.fault_plan, "before_result"):
             self.net_plan = spec.fault_plan
         self.sweep = parallel.ShardSweep(spec, plan)
@@ -295,8 +299,8 @@ class Session:
         )
         self.log(f"attached to {actual} (mode={mode})")
 
-    def _receive_plan(self, program_digest: str):
-        """Ask the coordinator for the Φ-plan payload; unpickle it."""
+    def _receive_plan(self, program_digest: str, spec) -> PhiPlan:
+        """Ask the coordinator for the Φ plan's bytes; decode them."""
         self.send("need-plan", {"program": program_digest})
         try:
             header, body, _n = recv_frame(self.rfile)
@@ -306,9 +310,9 @@ class Session:
             self.fail(f"expected 'plan', got {header.get('type')!r}")
             raise _SessionEnd
         try:
-            return pickle.loads(body)
-        except Exception as exc:
-            self.fail(f"undecodable plan payload: {exc}")
+            return PhiPlan(spec.plan_layout, spec.program.space, body)
+        except PlanDecodeError as exc:
+            self.fail(f"bad plan payload: {exc}")
             raise _SessionEnd from None
 
     # ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared-memory arena dispatch: identity, lifecycle, and leak hygiene.
 
 The arena promises three things and this file holds it to all of them:
-worker evaluation through zero-copy views is *bit-identical* to the
-compiled :class:`PhiPlan`; shard dispatch ships O(shard-descriptor)
+worker evaluation through zero-copy views of the segment is
+*bit-identical* to evaluation over the compiled plan bytes (one
+:class:`PhiPlan` class serves both); shard dispatch ships O(shard-descriptor)
 bytes — two small ints — regardless of state-space size; and no named
 segment survives a solve, whatever killed it (clean exit, pool respawn,
 ``SimulatedKill`` mid-journal, serial degradation).
@@ -20,15 +21,18 @@ from repro.predicates import Predicate, using_backend
 from repro.predicates.arena import (
     SEGMENT_PREFIX,
     SolveArena,
+    attach_plan,
     list_segments,
     sweep_stale_segments,
 )
-from repro.statespace import BoolDomain, space_of
+from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.unity import Const, Program, Statement, Unary, Var, knows, lnot
 
 
-def make_kbp() -> Program:
-    space = space_of(a=BoolDomain(), b=BoolDomain(), c=BoolDomain())
+def make_kbp(**padding) -> Program:
+    """The arena test KBP; ``padding`` adds unused variables (more states,
+    same statements and terms)."""
+    space = space_of(a=BoolDomain(), b=BoolDomain(), c=BoolDomain(), **padding)
     statements = [
         Statement(
             name="s0",
@@ -90,15 +94,17 @@ def assert_same_report(reference, report):
 
 
 class TestAttachIdentity:
-    @pytest.mark.parametrize("backend_name", ["int", "numpy"])
+    @pytest.mark.parametrize("backend_name", ["int", "numpy", "robdd"])
     def test_arena_plan_matches_compiled_plan(self, kbp, backend_name):
+        """The shm-attached plan evaluates like the bytes-backed one."""
         from repro.predicates.backends import batch_backend_for
 
         plan = compile_phi_plan(kbp)
-        assert plan is not None
+        assert plan is not None and isinstance(plan.buffer, bytes)
         arena = SolveArena.build(plan, "f" * 64)
         try:
-            attached = arena.plan(kbp.space)
+            attached = attach_plan(arena.layout, kbp.space)
+            assert bytes(attached.buffer) == plan.buffer
             candidates = sorted(
                 {kbp.init.mask | mask for mask in range(1 << kbp.space.size)}
             )
@@ -111,17 +117,51 @@ class TestAttachIdentity:
         finally:
             arena.close(unlink=True)
 
-    def test_spec_is_a_compact_descriptor(self, kbp):
+    @pytest.mark.parametrize(
+        "field", ["init_slot", "poison_slot", "term", "group", "count"]
+    )
+    def test_layout_indices_are_checked(self, field):
+        """A layout naming a slot, term or group table it does not have,
+        or a group count no partition can have, is refused before any
+        handle is built."""
+        from dataclasses import replace
+
+        from repro.predicates.backends.batch import PhiPlan, PlanDecodeError
+
+        plan = compile_phi_plan(make_kbp())
+        layout = plan.layout
+        if field == "init_slot":
+            layout = replace(layout, init_slot=layout.n_statics)
+        elif field == "poison_slot":
+            stmts = list(layout.statements)
+            stmts[0] = replace(stmts[0], poison_slot=-1)
+            layout = replace(layout, statements=tuple(stmts))
+        elif field == "term":
+            stmts = list(layout.statements)
+            stmts[0] = replace(stmts[0], guard=(("term", len(layout.terms)),))
+            layout = replace(layout, statements=tuple(stmts))
+        elif field == "group":
+            terms = list(layout.terms)
+            terms[0] = replace(terms[0], group_index=len(layout.group_counts))
+            layout = replace(layout, terms=tuple(terms))
+        else:  # more groups than states: an unbounded numpy allocation
+            counts = (layout.size + 1,) + layout.group_counts[1:]
+            layout = replace(layout, group_counts=counts)
+        with pytest.raises(PlanDecodeError):
+            PhiPlan(layout, plan.space, plan.buffer)
+
+    def test_spec_is_a_compact_descriptor(self):
         import pickle
 
-        plan = compile_phi_plan(kbp)
+        padded = make_kbp(d=IntRangeDomain(0, 63))  # 512 states
+        plan = compile_phi_plan(padded)
         arena = SolveArena.build(plan, "e" * 64)
         try:
-            spec_bytes = len(pickle.dumps(arena.spec))
-            plan_bytes = len(pickle.dumps(plan))
+            spec_bytes = len(pickle.dumps(arena.layout))
             # The point of the arena: what crosses the pickle boundary is
             # the name-and-offsets descriptor, not the bulk arrays.
-            assert spec_bytes < plan_bytes
+            assert spec_bytes * 10 < arena.layout.total_bytes
+            assert arena.nbytes == arena.layout.total_bytes
         finally:
             arena.close(unlink=True)
 
@@ -138,24 +178,6 @@ class TestDispatch:
         stats = report.dispatch.as_dict()
         assert stats["arena_segments"] == 1
         assert stats["arena_bytes"] > 0
-
-    def test_arena_never_matches_serial(self, kbp, serial_report):
-        report = solve_si_parallel(
-            kbp, workers=2, arena="never", collect_stats=True
-        )
-        assert_same_report(serial_report, report)
-        assert report.dispatch.as_dict()["arena_segments"] == 0
-
-    def test_arena_env_knob(self, kbp, serial_report, monkeypatch):
-        from repro.core.parallel import ARENA_ENV_VAR
-
-        monkeypatch.setenv(ARENA_ENV_VAR, "never")
-        report = solve_si_parallel(kbp, workers=2, collect_stats=True)
-        assert_same_report(serial_report, report)
-        assert report.dispatch.as_dict()["arena_segments"] == 0
-        monkeypatch.setenv(ARENA_ENV_VAR, "sometimes")
-        with pytest.raises(ValueError):
-            solve_si_parallel(kbp, workers=2)
 
     def test_shard_payload_is_descriptor_sized(self, kbp):
         report = solve_si_parallel(kbp, workers=2, collect_stats=True)

@@ -7,7 +7,8 @@ per candidate on the resolver (:func:`repro.core.kbp._candidate_evidence`).
 Certificates stay byte-identical only if the two agree payload for payload
 on every candidate — checked here for every candidate of the batchable
 registry models and of random batchable KBPs, on the int and numpy
-kernels and through an arena-attached plan.
+kernels, and on int, numpy and robdd for the plan over its compiled bytes
+and over a shared-memory mapping.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from repro.core.kbp import (
     _supersets_of,
 )
 from repro.predicates import Predicate, using_backend
-from repro.predicates.arena import SolveArena
+from repro.predicates.arena import SolveArena, attach_plan
 from repro.predicates.backends import get_backend
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.unity import GuardDomainError, Program, Statement, const, knows, var
 
 from .test_parallel import random_kbps
+from .test_socket_transport import unresolvable_arena
 
 #: The batchable knowledge-based registry models (all small enough to
 #: check every candidate) and two members of the kbp24 family.
@@ -74,12 +76,15 @@ def test_registry_model_evidence_matches_resolver(key, backend_name):
     _assert_rows_give_resolver_evidence(program, plan, backend_name)
 
 
-@pytest.mark.parametrize("backend_name", ["int", "numpy"])
+@pytest.mark.parametrize("backend_name", ["int", "numpy", "robdd"])
 @pytest.mark.parametrize("key", ["fig2", "kbp24-f8"])
 def test_arena_attached_plan_evidence_matches_resolver(key, backend_name):
+    """Both homes of the one plan class: compiled bytes and shm mapping."""
     program = build_model(key).program
-    arena = SolveArena.build(compile_phi_plan(program), "0" * 12)
-    plan = arena.plan(program.space)
+    compiled = compile_phi_plan(program)
+    _assert_rows_give_resolver_evidence(program, compiled, backend_name)
+    arena = SolveArena.build(compiled, "0" * 12)
+    plan = attach_plan(arena.layout, program.space)
     try:
         _assert_rows_give_resolver_evidence(program, plan, backend_name)
     finally:
@@ -114,25 +119,33 @@ def test_certified_sweep_takes_the_resolver_for_solutions_only(monkeypatch):
 
 @pytest.mark.parametrize("key", ["fig2", "kbp24-f8"])
 def test_certified_pool_and_daemon_ship_plans_and_match_serial(
-    key, spawn_worker
+    key, spawn_worker, monkeypatch
 ):
     """Certified sweeps run the kernel in pool processes and socket
-    workers (arena or shipped plan, per ``REPRO_SOLVER_ARENA``) and
-    still reproduce the serial certificate."""
+    workers — on the arena mapping and on shipped plan bytes — and still
+    reproduce the serial certificate."""
     program = build_model(key).program
     serial = solve_si(program, emit_certificate=True, parallel="never")
     want = canonical_dumps(serial.certificate.to_payload())
     _proc, address = spawn_worker("w")
     pool = solve_si_parallel(program, workers=2, emit_certificate=True)
-    remote = solve_si_parallel(
+    arena = solve_si_parallel(
         program, emit_certificate=True, remote_workers=[address]
     )
-    for report in (pool, remote):
+    unresolvable_arena(monkeypatch)
+    payload = solve_si_parallel(
+        program, emit_certificate=True, remote_workers=[address]
+    )
+    for report in (pool, arena, payload):
         assert canonical_dumps(report.certificate.to_payload()) == want
-    # The daemon mapped the arena or was sent the plan payload: it swept
-    # on the kernel, not the resolver.
-    stats = remote.dispatch
-    assert stats.arena_bytes > 0 or stats.plan_payload_bytes > 0
+    # Arena mode: the daemon mapped the segment, no plan bytes shipped.
+    assert arena.dispatch.arena_bytes > 0
+    assert arena.dispatch.plan_payload_bytes == 0
+    # Payload mode: the segment did not resolve, so the plan buffer was
+    # shipped whole.
+    assert payload.dispatch.plan_payload_bytes == (
+        compile_phi_plan(program).layout.total_bytes
+    )
 
 
 def _overflow_program() -> Program:
@@ -160,7 +173,9 @@ def _overflow_program() -> Program:
 def test_poisoned_certified_sweep_raises_the_original_error(workers):
     program = _overflow_program()
     plan = compile_phi_plan(program)
-    assert plan is not None and any(s.poison_mask for s in plan.statements)
+    assert plan is not None and any(
+        s.poison_slot is not None for s in plan.statements
+    )
     with pytest.raises(GuardDomainError) as serial:
         solve_si(program, emit_certificate=True, parallel="never")
     with pytest.raises(GuardDomainError) as batched:

@@ -297,7 +297,9 @@ def test_domain_exit_raises_the_original_error():
         name="overflow",
     )
     plan = compile_phi_plan(program)
-    assert plan is not None and any(s.poison_mask for s in plan.statements)
+    assert plan is not None and any(
+        s.poison_slot is not None for s in plan.statements
+    )
     with pytest.raises(GuardDomainError):
         solve_si(program, parallel="never")
     with pytest.raises(GuardDomainError):

@@ -14,12 +14,15 @@ import socket
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
-from repro.core import solve_si, solve_si_parallel
+from repro.certificates.canonical import canonical_dumps
+from repro.core import compile_phi_plan, solve_si, solve_si_parallel
 from repro.core.netproto import (
     WORKER_PROTOCOL,
+    FrameError,
     recv_frame,
     send_frame,
 )
@@ -85,6 +88,28 @@ def assert_same_report(reference, report):
         p.mask for p in reference.solutions
     ]
     assert report.candidates_checked == reference.candidates_checked
+
+
+#: A shared-memory segment name that resolves nowhere.
+GHOST_SEGMENT = "repro-arena-feedbeef-1-404"
+
+
+def unresolvable_arena(monkeypatch) -> None:
+    """Hand socket workers a plan layout whose segment does not resolve.
+
+    That is what a daemon on another host sees, so every daemon takes the
+    payload route: it answers ``need-plan`` and receives the plan bytes.
+    """
+    from repro.core import parallel
+
+    real = parallel.SocketTransport
+
+    def transport(addresses, *, spec, **kwargs):
+        layout = replace(spec.plan_layout, segment=GHOST_SEGMENT)
+        spec = replace(spec, plan_layout=layout)
+        return real(addresses, spec=spec, **kwargs)
+
+    monkeypatch.setattr(parallel, "SocketTransport", transport)
 
 
 def dead_address() -> str:
@@ -159,18 +184,25 @@ class TestSocketSolve:
         assert report.dispatch.arena_bytes > 0
 
     def test_payload_fallback_when_arena_unreachable(
-        self, kbp, serial_report, spawn_worker, monkeypatch
+        self, kbp, spawn_worker, monkeypatch
     ):
-        """No arena segment to map — the full Φ plan travels by value."""
-        monkeypatch.setenv("REPRO_SOLVER_ARENA", "never")
+        """No arena segment to map — the plan's raw bytes travel by value."""
+        certified = solve_si(kbp, parallel="never", emit_certificate=True)
+        in_process = solve_si_parallel(kbp, workers=1)
+        unresolvable_arena(monkeypatch)
         _, addr = spawn_worker()
-        report = solve_si_parallel(kbp, remote_workers=[addr])
-        assert_same_report(serial_report, report)
-        assert report.dispatch.plan_payload_bytes > 0
+        report = solve_si_parallel(
+            kbp, remote_workers=[addr], emit_certificate=True
+        )
+        assert report.dispatch.plan_payload_bytes == len(
+            compile_phi_plan(kbp).buffer
+        )
+        assert_same_report(in_process, report)
+        assert canonical_dumps(report.certificate.to_payload()) == (
+            canonical_dumps(certified.certificate.to_payload())
+        )
 
     def test_certificates_byte_identical_over_sockets(self, kbp, spawn_worker):
-        from repro.certificates.canonical import canonical_dumps
-
         reference = solve_si(kbp, parallel="never", emit_certificate=True)
         addrs = [spawn_worker(f"w{i}")[1] for i in range(2)]
         report = solve_si_parallel(
@@ -293,6 +325,59 @@ class TestSessionHygiene:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize("damage", ["short", "long", "successor", "group"])
+    def test_bad_plan_body_earns_error_frame(self, kbp, spawn_worker, damage):
+        """The payload route decodes raw plan bytes and fails closed: a
+        body of the wrong length, or with a successor or group id out of
+        range, earns an 'error' frame and ends the session."""
+        from repro.certificates.canonical import program_digest
+        from repro.core.parallel import SweepSpec
+
+        plan = compile_phi_plan(kbp)
+        layout = plan.layout
+        body = bytearray(plan.buffer)
+        if damage == "short":
+            del body[-8:]
+        elif damage == "long":
+            body += bytes(8)
+        elif damage == "successor":  # would be `1 << 2**40` in the int kernel
+            offset = layout.statics_bytes
+            body[offset : offset + 8] = (1 << 40).to_bytes(8, "little")
+        else:
+            offset = layout.statics_bytes + layout.succ_bytes
+            body[offset : offset + 8] = layout.group_counts[0].to_bytes(
+                8, "little"
+            )
+        spec = SweepSpec(
+            program=kbp,
+            base_mask=kbp.init.mask,
+            low_positions=(),
+            emit_certificate=False,
+            any_solution=False,
+            batch_size=64,
+            plan_layout=replace(layout, segment=GHOST_SEGMENT),
+        )
+        _, addr = spawn_worker()
+        sock, rfile, wfile = self._connect(addr)
+        try:
+            recv_frame(rfile)  # hello (keyless: no handshake to answer)
+            send_frame(
+                wfile,
+                "attach",
+                {"program": program_digest(kbp), "protocol": WORKER_PROTOCOL},
+                pickle.dumps(spec),
+            )
+            header, _body, _n = recv_frame(rfile)
+            assert header["type"] == "need-plan"
+            send_frame(wfile, "plan", {}, bytes(body))
+            header, _body, _n = recv_frame(rfile)
+            assert header["type"] == "error"
+            assert "bad plan payload" in header["message"]
+            with pytest.raises(FrameError):
+                recv_frame(rfile)  # the daemon closed the session
+        finally:
+            sock.close()
+
 
 class TestTransportInternals:
     """White-box checks of the lease/queue bookkeeping invariants."""
@@ -359,17 +444,17 @@ class TestTransportInternals:
 
 class TestTryAttach:
     def test_missing_segment_answers_none(self, kbp):
-        from dataclasses import replace
-
-        from repro.core import compile_phi_plan
-        from repro.predicates.arena import SolveArena
+        from repro.predicates.arena import SolveArena, attach_plan
 
         plan = compile_phi_plan(kbp)
         arena = SolveArena.build(plan, "test-digest")
         try:
-            spec = arena.spec
-            assert spec.try_attach(kbp.space) is not None
-            ghost = replace(spec, segment="repro-arena-feedbeef-1-404")
-            assert ghost.try_attach(kbp.space) is None
+            attached = attach_plan(arena.layout, kbp.space)
+            assert attached is not None
+            attached.close()
+            ghost = replace(arena.layout, segment=GHOST_SEGMENT)
+            assert attach_plan(ghost, kbp.space) is None
+            # The compiled layout names no segment at all.
+            assert attach_plan(plan.layout, kbp.space) is None
         finally:
             arena.close()

@@ -137,3 +137,50 @@ class TestOneShotFiring:
         assert not plan.tears_record(1)
         assert plan.tears_record(2)
         assert not plan.tears_record(2)  # one-shot
+
+
+class _BreaksMidDispatch:
+    """A pool that breaks while the supervisor is still submitting shards:
+    the first submit's worker crashes, and every later submit raises."""
+
+    def __init__(self, healthy: bool):
+        self.healthy = healthy
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.submits += 1
+        if not self.healthy and self.submits > 1:
+            raise BrokenProcessPool("pool broke during dispatch")
+        future = Future()
+        if self.healthy:
+            future.set_result(fn(*args))
+        else:
+            future.set_exception(BrokenProcessPool("worker crashed"))
+        return future
+
+    def terminate(self):
+        pass
+
+
+class TestPoolBreaksDuringDispatch:
+    def test_refused_submit_is_respawned_not_raised(self):
+        from repro.robustness import ShardSupervisor
+
+        pools = iter([_BreaksMidDispatch(False), _BreaksMidDispatch(True)])
+
+        def sweep(index, fixed_mask):
+            return [fixed_mask] if index == 2 else [], 1, []
+
+        supervisor = ShardSupervisor(
+            pool_factory=lambda: next(pools),
+            task=sweep,
+            shard_masks=[0b00, 0b01, 0b10, 0b11],
+            policy=FaultPolicy(),
+            serial_runner=sweep,
+        )
+        assert supervisor.run() == ([0b10], 4, [])
+        assert supervisor.log.count("pool-respawn") == 1
+        assert supervisor.log.count("serial-fallback") == 0
