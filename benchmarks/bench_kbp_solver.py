@@ -19,7 +19,12 @@ import random
 import time
 from pathlib import Path
 
-from repro.core import solve_si, solve_si_iterative, solve_si_parallel
+from repro.core import (
+    compile_phi_plan,
+    solve_si,
+    solve_si_iterative,
+    solve_si_parallel,
+)
 from repro.predicates import Predicate
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.unity import Program, Statement, Unary, Var, const, knows, lnot, var
@@ -197,8 +202,9 @@ def test_parallel_solver_speedup(benchmark):
 def test_zero_copy_dispatch_scaling(benchmark):
     """Speedup vs worker count, plus what dispatch actually ships.
 
-    The zero-copy arena claim in numbers: bytes-per-shard stays at the
-    descriptor size (two pickled ints) at every worker count, and worker
+    The dispatch claim in numbers: bytes-per-shard stays at the
+    descriptor size (two pickled ints) at every worker count, the Φ plan
+    that every pool process receives by value stays small, and worker
     peak RSS is sampled through the transport.
     """
     rng = random.Random(2025)
@@ -225,8 +231,11 @@ def test_zero_copy_dispatch_scaling(benchmark):
         )
 
     multi = reports[max(worker_counts)].dispatch.as_dict()
-    assert multi["arena_segments"] == 1
     assert multi["bytes_per_shard"] < 100, multi
+    # Plans travel by value because they are ~1 KB; one past 64 KiB
+    # should reopen that decision.
+    plan_bytes = len(compile_phi_plan(program).buffer)
+    assert plan_bytes <= 65536, plan_bytes
     scaling = {
         str(count): round(timings[count], 3) for count in worker_counts
     }
@@ -238,15 +247,15 @@ def test_zero_copy_dispatch_scaling(benchmark):
     _RESULTS["scaling_speedup"] = speedups
     _RESULTS["dispatch_bytes_per_shard"] = multi["bytes_per_shard"]
     _RESULTS["peak_worker_rss_kb"] = multi["worker_peak_rss_kb"]
-    _RESULTS["arena_bytes"] = multi["arena_bytes"]
-    _RESULTS["init_bytes_arena"] = multi["init_bytes"]
+    _RESULTS["plan_bytes"] = plan_bytes
+    _RESULTS["init_bytes"] = multi["init_bytes"]
     record(
         benchmark,
         scaling_seconds=scaling,
         scaling_speedup=speedups,
         dispatch_bytes_per_shard=multi["bytes_per_shard"],
         peak_worker_rss_kb=multi["worker_peak_rss_kb"],
-        arena_bytes=multi["arena_bytes"],
+        plan_bytes=plan_bytes,
     )
 
 

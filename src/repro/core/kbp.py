@@ -214,7 +214,7 @@ class SolveReport:
     #: ``None`` for serial solves; ``fault_log.clean`` means no faults fired.
     fault_log: Optional[object] = None
     #: :class:`repro.core.transport.DispatchStats` from multiprocess sweeps —
-    #: bytes shipped per shard, arena size, worker peak RSS; ``None`` for
+    #: bytes shipped per shard, plan bytes, worker peak RSS; ``None`` for
     #: serial and in-process solves.
     dispatch: Optional[object] = None
 

@@ -66,8 +66,10 @@ READ_DEADLINE = 600.0
 #: mandatory hello/auth handshake ahead of ``attach``; /3 made the attach
 #: body a pickled :class:`~repro.core.parallel.SweepSpec` (was a dict);
 #: /4 put the Φ-plan layout in that spec and made the ``plan`` body the
-#: plan's raw buffer bytes (was a pickled plan).
-WORKER_PROTOCOL = "repro-worker/4"
+#: plan's raw buffer bytes (was a pickled plan); /5 sends that ``plan``
+#: frame right behind every ``attach`` whose spec has a layout (was only
+#: on the daemon's ``need-plan`` request, which is gone).
+WORKER_PROTOCOL = "repro-worker/5"
 
 #: Shared-secret knob for the worker protocol: both the daemon and the
 #: coordinator read it (the daemon also takes ``--key-file``).  Any

@@ -62,7 +62,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..predicates import Predicate
-from ..predicates.arena import SolveArena, attach_plan
 from ..predicates.backends import (
     PredicateBackend,
     batch_backend_for,
@@ -128,9 +127,9 @@ def _resolve_remote_workers(
 def _resolve_start_method(start_method: Optional[str]) -> str:
     """The pool start method: explicit arg, then env, then fork-if-available.
 
-    The arena makes workers spawn-clean (nothing is inherited that cannot
-    be re-attached by name), so any method the platform offers is valid;
-    fork stays the default for its startup cost.
+    Pool processes receive everything by value in their initializer
+    arguments (the spec and the plan's bytes), so any method the platform
+    offers is valid; fork stays the default for its startup cost.
     """
     if start_method is None:
         start_method = os.environ.get(START_METHOD_ENV_VAR) or None
@@ -411,14 +410,13 @@ class SweepSpec:
 
     The one thing that crosses into a sweeping process: a local pool gets
     it as its initializer argument, a socket worker as its ``attach``
-    payload, and the in-process runner builds from it too.  Everything is
-    by value except the Φ plan's buffer: ``plan_layout`` is set when the
-    parent compiled a plan (so the sweep is batched, certified or not),
-    and a sweeping process maps the buffer from the shared-memory segment
-    the layout names or, when that segment does not resolve, receives its
-    bytes.  Without a plan (nested knowledge, knowledge in right-hand
-    sides, guards outside the postfix vocabulary) every candidate goes
-    through the resolver.
+    payload, and the in-process runner builds from it too.  ``plan_layout``
+    is set when the parent compiled a plan (so the sweep is batched,
+    certified or not); the plan's buffer travels next to the spec, by
+    value — a pool's second initializer argument, a socket worker's
+    ``plan`` frame — and is decoded against this layout.  Without a plan
+    (nested knowledge, knowledge in right-hand sides, guards outside the
+    postfix vocabulary) every candidate goes through the resolver.
     ``backend_selection`` replays the parent's backend choice, which a
     spawned child would otherwise lose (the selection is process-global
     state, not environment).
@@ -438,9 +436,9 @@ class SweepSpec:
 class ShardSweep:
     """One solve's per-shard sweep: ``run(index, fixed_mask)``.
 
-    Built from a :class:`SweepSpec` plus the plan its host acquired —
-    the parent's compiled bytes, an arena mapping or shipped bytes — or
-    ``None`` for plan-less programs, which take the per-candidate
+    Built from a :class:`SweepSpec` plus the plan its host decoded —
+    from the parent's compiled bytes or a copy of them — or ``None`` for
+    plan-less programs, which take the per-candidate
     resolver loop (:meth:`_resolved`).  The resolver
     is built on first use: batched sweeps need one only for a solution's
     certificate chain or when a poisoned candidate forces the exact
@@ -471,11 +469,6 @@ class ShardSweep:
 
             self._resolver = CandidateResolver(self.spec.program)
         return self._resolver
-
-    def close(self) -> None:
-        """Unmap an arena-attached plan (other plans hold no mapping)."""
-        if self.plan is not None:
-            self.plan.close()
 
     def run(
         self, index: int, fixed_mask: int
@@ -593,23 +586,18 @@ class ShardSweep:
 _POOL_SWEEP: Optional[ShardSweep] = None
 
 
-def _init_worker(spec: SweepSpec) -> None:
+def _init_worker(spec: SweepSpec, buffer: Optional[bytes]) -> None:
     """Pool-process initializer, spawn-start-method clean.
 
-    Replays the parent's backend choice, maps the plan by segment name
-    from the arena (zero-copy views, no recompilation, no pickled
-    successor arrays) and builds the process's :class:`ShardSweep`.
+    Replays the parent's backend choice, decodes the parent's plan bytes
+    (no recompilation) and builds the process's :class:`ShardSweep`.
     """
     global _POOL_SWEEP
     if spec.backend_selection is not None:
         set_default_backend(spec.backend_selection)
     plan = None
     if spec.plan_layout is not None:
-        plan = attach_plan(spec.plan_layout, spec.program.space)
-        if plan is None:  # the parent holds the segment for the whole solve
-            raise FileNotFoundError(
-                f"arena segment {spec.plan_layout.segment!r} does not resolve"
-            )
+        plan = PhiPlan(spec.plan_layout, spec.program.space, buffer)
     _POOL_SWEEP = ShardSweep(spec, plan)
 
 
@@ -730,7 +718,6 @@ def solve_si_parallel(
     with the per-shard serial fallback as the last resort.  Reports and
     certificates stay byte-identical to serial throughout.
     """
-    from ..certificates.canonical import payload_digest
     from .kbp import SolveReport, _check_exhaustive_size, solve_si
 
     space = program.space
@@ -796,8 +783,7 @@ def solve_si_parallel(
     resolved_method = _resolve_start_method(start_method)
     # The plan is compiled exactly once, parent-side, for certified and
     # uncertified sweeps alike.  The in-process sweep reads its bytes
-    # directly; pool workers and socket workers map the arena copied from
-    # them, and a socket worker that cannot map it receives the bytes.
+    # directly; pool processes and socket workers receive a copy of them.
     plan = compile_phi_plan(program)
     backend_selection = get_default_backend()
     if isinstance(backend_selection, PredicateBackend):
@@ -814,38 +800,24 @@ def solve_si_parallel(
         plan_layout=plan.layout if plan is not None else None,
     )
     stats = DispatchStats(start_method=resolved_method) if workers > 1 else None
-    arena_holder: List[Optional[SolveArena]] = [None]
+    buffer = plan.buffer if plan is not None else None
     # One log serves the supervisor *and* the pool factory, so transport
     # degradation (socket → local) is an incident on the report, not a
     # silent change of dispatch mechanism.
     shared_log = FaultLog()
 
     def pool_factory():
-        # Lazy on both axes: no pool → no arena (a fully journaled resume
-        # never pays for either), and one arena serves every pool respawn
-        # (workers re-attach by segment name).
-        worker_spec = spec
-        if plan is not None:
-            if arena_holder[0] is None:
-                digest = payload_digest(header["program"]).split(":", 1)[-1]
-                arena_holder[0] = SolveArena.build(plan, digest)
-                if stats is not None:
-                    stats.arena_bytes = arena_holder[0].nbytes
-                    stats.arena_segments = 1
-            worker_spec = replace(spec, plan_layout=arena_holder[0].layout)
         if addresses:
             try:
                 return SocketTransport(
                     addresses,
                     program_digest=header["program"],
-                    spec=worker_spec,
-                    plan=plan,
+                    spec=spec,
+                    plan_buffer=buffer,
                     policy=fault_policy,
                     stats=stats,
                     log=shared_log,
-                    net_plan=fault_plan
-                    if hasattr(fault_plan, "refuses_connect")
-                    else None,
+                    fault_plan=fault_plan,
                 )
             except SocketTransportError as exc:
                 shared_log.record(
@@ -857,14 +829,13 @@ def solve_si_parallel(
             workers=min(workers, len(shard_masks)),
             mp_context=mp.get_context(resolved_method),
             initializer=_init_worker,
-            initargs=(worker_spec,),
+            initargs=(spec, buffer),
             stats=stats,
         )
 
     # The in-process sweep: the whole solve when workers == 1, and the
     # supervisor's degradation path otherwise.  It reuses the
-    # parent-compiled plan (no arena — shared memory is for crossing a
-    # process boundary), honors a caller-supplied resolver, and runs no
+    # parent-compiled plan, honors a caller-supplied resolver, and runs no
     # fault plan — a crash clause must not kill the parent.
     in_process = ShardSweep(replace(spec, fault_plan=None), plan, resolver)
     drain_hook = None
@@ -893,13 +864,7 @@ def solve_si_parallel(
         drain_hook=drain_hook,
         log=shared_log,
     )
-    try:
-        solution_masks, checked, evidence = supervisor.run()
-    finally:
-        # Covers SimulatedKill (a BaseException) from parent-side fault
-        # clauses: the segment must never outlive the solve.
-        if arena_holder[0] is not None:
-            arena_holder[0].close(unlink=True)
+    solution_masks, checked, evidence = supervisor.run()
 
     solutions = [Predicate(space, mask) for mask in solution_masks]
     solutions.sort(key=lambda p: (p.count(), p.mask))

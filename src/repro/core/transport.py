@@ -5,8 +5,9 @@ actually *carries* a shard to a worker is a transport.  Two live behind
 the same interface:
 
 * :class:`LocalPoolTransport` — a ``ProcessPoolExecutor`` behind
-  ``submit``/``shutdown``/``terminate``, with the shared-memory arena
-  (DESIGN.md §14) keeping per-shard payloads at two pickled ints;
+  ``submit``/``shutdown``/``terminate``; the solve's spec and Φ-plan bytes
+  travel once, as initializer arguments (DESIGN.md §14), so per-shard
+  payloads stay at two pickled ints;
 * :class:`SocketTransport` — the TCP worker protocol (DESIGN.md §15):
   every address in ``workers`` names a ``python -m repro.worker`` daemon,
   shards travel as length-prefixed digest-checked frames
@@ -99,9 +100,6 @@ class DispatchStats:
     #: transport built (a respawned pool counts again), however many
     #: workers receive it
     init_bytes: int = 0
-    #: size of the shared-memory arena, 0 when no arena was built
-    arena_bytes: int = 0
-    arena_segments: int = 0
     #: max ``ru_maxrss`` (KiB on Linux) sampled across pool workers
     worker_peak_rss_kb: int = 0
     #: every dispatch mechanism that carried shards, in first-use order
@@ -112,7 +110,8 @@ class DispatchStats:
     #: wire bytes sent to / received from socket workers (frames included)
     net_bytes_sent: int = 0
     net_bytes_received: int = 0
-    #: Φ-plan bytes shipped to socket workers that could not map the arena
+    #: Φ-plan bytes shipped to socket workers in ``plan`` frames, one
+    #: frame per attach (a reconnect ships the plan again)
     plan_payload_bytes: int = 0
     #: connect/IO retries per worker address
     worker_retries: Dict[str, int] = field(default_factory=dict)
@@ -147,8 +146,6 @@ class DispatchStats:
             "bytes_dispatched": self.bytes_dispatched,
             "bytes_per_shard": round(self.bytes_per_shard, 2),
             "init_bytes": self.init_bytes,
-            "arena_bytes": self.arena_bytes,
-            "arena_segments": self.arena_segments,
             "worker_peak_rss_kb": self.worker_peak_rss_kb,
             "transports": list(self.transports),
             "frames_sent": self.frames_sent,
@@ -233,13 +230,17 @@ class LocalPoolTransport(ShardTransport):
         self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
 
     def terminate(self) -> None:
+        # ``shutdown`` drops the executor's process table, so snapshot it
+        # first: a worker stuck in a hung task must still be killed.
+        processes = list((getattr(self._pool, "_processes", None) or {}).values())
         self._pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(self._pool, "_processes", None) or {}
-        for process in list(processes.values()):
+        for process in processes:
             try:
                 process.terminate()
             except Exception:  # racing a worker's own exit is fine
                 pass
+        for process in processes:
+            process.join(timeout=2.0)
 
     def sample_worker_rss(self, timeout: float = 10.0) -> int:
         """Max peak RSS across pool workers (0 if none answer in time).
@@ -329,7 +330,6 @@ class _WorkerLink:
         self.sock: Optional[socket.socket] = None
         self.rfile = None
         self.wfile = None
-        self.mode = ""  # "arena" | "payload" | "resolver" (worker-reported)
         self.alive = False
 
     def close(self) -> None:
@@ -350,9 +350,9 @@ class SocketTransport(ShardTransport):
     Construction connects to and *attaches* every address: the worker
     receives the solve's program digest plus the pickled
     :class:`~repro.core.parallel.SweepSpec` (program, shard layout, solver
-    flags, plan layout) and either maps the shared-memory arena by name or
-    — when the segment does not resolve, e.g. on another host — asks for
-    and receives the Φ plan's raw buffer bytes.  A worker none of whose connect
+    flags, plan layout) in an ``attach`` frame and, when the spec has a
+    plan layout, the Φ plan's raw buffer bytes in a ``plan`` frame sent
+    right behind it.  A worker none of whose connect
     attempts succeed (``policy.max_retries`` retries, each after a
     :func:`~repro.robustness.backoff` pause) is simply skipped; zero attached
     workers raises :class:`SocketTransportError` so the caller can
@@ -376,11 +376,11 @@ class SocketTransport(ShardTransport):
         *,
         program_digest: str,
         spec: Any,
-        plan: Optional[Any] = None,
+        plan_buffer: Optional[bytes] = None,
         policy: FaultPolicy = FaultPolicy(),
         stats: Optional[DispatchStats] = None,
         log: Optional[Any] = None,
-        net_plan: Optional[Any] = None,
+        fault_plan: Optional[Any] = None,
         heartbeat: Optional[float] = None,
         timeout: Optional[float] = None,
         connect_timeout: float = 5.0,
@@ -395,7 +395,7 @@ class SocketTransport(ShardTransport):
         self.policy = policy
         self.stats = stats
         self.log = log
-        self.net_plan = net_plan
+        self.fault_plan = fault_plan
         self.heartbeat = heartbeat if heartbeat is not None else heartbeat_interval()
         self.timeout = timeout if timeout is not None else heartbeat_timeout()
         self.connect_timeout = connect_timeout
@@ -406,7 +406,7 @@ class SocketTransport(ShardTransport):
         self._attach_payload = pickle.dumps(
             spec, protocol=pickle.HIGHEST_PROTOCOL
         )
-        self._plan = plan
+        self._plan_buffer = plan_buffer
         self._queue: "queue.Queue[_SocketTask]" = queue.Queue()
         self._lock = threading.Lock()
         self._stopping = threading.Event()
@@ -468,7 +468,7 @@ class SocketTransport(ShardTransport):
         while True:
             attempt += 1
             try:
-                if self.net_plan is not None and self.net_plan.refuses_connect(
+                if self.fault_plan is not None and self.fault_plan.refuses_connect(
                     link.index
                 ):
                     raise ConnectionRefusedError(
@@ -593,15 +593,12 @@ class SocketTransport(ShardTransport):
                 self._attach_payload,
             )
         )
+        if self._plan_buffer is not None:
+            self._count_sent(send_frame(wfile, "plan", {}, self._plan_buffer))
+            if self.stats is not None:
+                self.stats.plan_payload_bytes += len(self._plan_buffer)
         header, _body, nbytes = recv_frame(rfile)
         self._count_received(nbytes)
-        if header["type"] == "need-plan":
-            payload = self._plan_bytes()
-            self._count_sent(send_frame(wfile, "plan", {}, payload))
-            if self.stats is not None:
-                self.stats.plan_payload_bytes += len(payload)
-            header, _body, nbytes = recv_frame(rfile)
-            self._count_received(nbytes)
         if header["type"] == "error":
             raise FrameError(f"worker refused attach: {header.get('message')}")
         if header["type"] != "attached":
@@ -614,16 +611,7 @@ class SocketTransport(ShardTransport):
         link.sock = sock
         link.rfile = rfile
         link.wfile = wfile
-        link.mode = header.get("mode", "")
         link.alive = True
-
-    def _plan_bytes(self) -> bytes:
-        if self._plan is None:
-            raise FrameError(
-                "worker asked for a plan payload but this solve has no "
-                "batchable plan (resolver-path programs ship no plan)"
-            )
-        return self._plan.buffer
 
     def _count_sent(self, nbytes: int) -> None:
         if self.stats is not None:
@@ -803,18 +791,20 @@ class SocketTransport(ShardTransport):
         restarts the socket timeout); silence past the heartbeat timeout,
         a torn or corrupt frame, or a worker-side error all break the
         link.  Duplicate results are cross-checked byte-for-byte against
-        the first copy and ignored.
+        the first copy and ignored.  A link closed under us (teardown
+        between shards) breaks the link too, never the serving thread.
         """
-        link.sock.settimeout(self.timeout)
         while True:
             try:
+                link.sock.settimeout(self.timeout)
                 header, body, nbytes = recv_frame(link.rfile)
             except socket.timeout as exc:
                 raise _LinkBroken(
                     f"no heartbeat within {self.timeout}s"
                 ) from exc
-            except (OSError, FrameError) as exc:
-                raise _LinkBroken(str(exc)) from exc
+            except (OSError, FrameError, AttributeError, ValueError) as exc:
+                # AttributeError/ValueError: the link was closed under us.
+                raise _LinkBroken(str(exc) or type(exc).__name__) from exc
             self._count_received(nbytes)
             kind = header.get("type")
             if kind == "heartbeat":

@@ -129,8 +129,8 @@ class PredicateBackend:
         """A handle over an exported words buffer (see :meth:`words_view`).
 
         Word-array backends wrap the buffer without copying — the caller
-        keeps the buffer alive (e.g. an attached shared-memory segment)
-        and the resulting handle is read-only.  The default copies through
+        keeps the buffer alive (e.g. a received plan buffer) and the
+        resulting handle is read-only.  The default copies through
         an int mask, which is what exactness requires of backends whose
         handles are not word arrays.
         """
@@ -288,8 +288,8 @@ class PredicateBackend:
         eq. 13 for every term, the resolved guards, then the eq.-3 chain.
         ``plan`` is accessed only through the plan interface
         (``init_handle``/``term_body``/``group_table``/``poison_handle``/
-        ``succ_table``/``static_handle``), so arena-attached plans evaluate
-        through the same code path as locally compiled ones.
+        ``succ_table``/``static_handle``), so plans decoded from received
+        bytes evaluate through the same code path as locally compiled ones.
         """
         from .batch import BatchPoisonError, eval_guard_postfix
 
@@ -354,7 +354,7 @@ class PredicateBackend:
 
         ``group_of[i]`` is state ``i``'s group.  Backends whose group-table
         form *is* (an array, count) — the numpy backend — accept the array
-        as-is (zero-copy from an arena); others raise and the caller falls
+        as-is (zero-copy from the plan buffer); others raise and the caller falls
         back to :meth:`group_table` with the variable names.
         """
         raise NotImplementedError(

@@ -27,12 +27,14 @@ groups    ``n_group_tables × size`` int64 — cylinder ``group_of``
           partitions, deduplicated by variable tuple
 ========  ============================================================
 
-The same bytes serve every route a sweep can take: in-process sweeps
-read the compiled ``bytes``, pool processes and same-host worker daemons
-map a shared-memory copy by name (:mod:`repro.predicates.arena`), and
-remote daemons receive the bytes as a frame body.  :class:`PhiPlan` is
-the one decoder for all three, and it fails closed with
-:class:`PlanDecodeError` on a buffer that does not fit its layout.
+The same bytes serve every route a sweep can take, always by value:
+in-process sweeps read the compiled ``bytes``, pool processes receive
+them as an initializer argument, and worker daemons as the body of a
+``plan`` frame.  Plans are small — exhaustive solving stops at 28 states,
+and a kbp24 plan is about 1 KB — so copying them costs less than any
+sharing scheme would.  :class:`PhiPlan` is the one decoder for every
+route, and it fails closed with :class:`PlanDecodeError` on a buffer that
+does not fit its layout.
 
 * :meth:`~repro.predicates.backends.base.PredicateBackend.batch_phi_rows`
   is the kernel every backend implements — the base class provides an
@@ -144,9 +146,7 @@ class PlanLayout:
     """The small descriptor that locates everything in a plan buffer.
 
     A few hundred bytes, independent of how the buffer travels.
-    ``group_counts[g]`` is group table ``g``'s number of groups;
-    ``segment`` names the shared-memory segment holding a copy of the
-    buffer, ``""`` while the plan lives only in its compiled bytes.
+    ``group_counts[g]`` is group table ``g``'s number of groups.
     """
 
     size: int
@@ -155,7 +155,6 @@ class PlanLayout:
     statements: Tuple[StatementPlan, ...]
     terms: Tuple[TermPlan, ...]
     group_counts: Tuple[int, ...]
-    segment: str = ""
 
     @property
     def n_words(self) -> int:
@@ -210,15 +209,14 @@ class PhiPlan:
     """Candidate-independent compilation of ``Φ`` over one plan buffer.
 
     ``buffer`` is any bytes-like object holding the layout's three blocks
-    — compiled ``bytes``, a received frame body, or a read-only view over
-    a shared-memory mapping (``segment`` is then the mapping, unmapped by
-    :meth:`close`).  Construction validates the buffer against the layout
+    — the compiled ``bytes``, a pool initializer argument or a received
+    frame body.  Construction validates the buffer against the layout
     (:class:`PlanDecodeError` otherwise); handles are built lazily and
     memoized per backend, over read-only views of the buffer (the numpy
     backend aliases it with zero copies).
     """
 
-    def __init__(self, layout: PlanLayout, space, buffer, segment=None):
+    def __init__(self, layout: PlanLayout, space, buffer):
         view = memoryview(buffer)
         if view.nbytes != layout.total_bytes:
             raise PlanDecodeError(
@@ -234,7 +232,6 @@ class PhiPlan:
         self.layout = layout
         self.space = space
         self.buffer = buffer
-        self.segment = segment
         size = layout.size
         self._succ = _int64_rows(
             view, layout.statics_bytes, len(layout.statements), size
@@ -331,23 +328,6 @@ class PhiPlan:
     def succ_ints(self, index: int) -> List[int]:
         """Statement ``index``'s successor array as Python ints."""
         return self._memoized(("ints", index), self._succ[index].tolist)
-
-    def close(self) -> None:
-        """Drop cached handles; unmap a shared-memory segment (never unlink).
-
-        With live numpy views still referencing the mapping the close is
-        refused by the buffer protocol; the mapping then simply lives
-        until the process exits, which is exactly as long as those views
-        can be dereferenced.
-        """
-        self._memo.clear()
-        self._succ = self._groups = None
-        if self.segment is not None:
-            try:
-                self.buffer.release()
-                self.segment.close()
-            except BufferError:  # exported views outlive us; the OS reaps
-                pass
 
 
 def _int64_rows(view: memoryview, offset: int, rows: int, size: int):

@@ -99,7 +99,7 @@ class IntBitsBackend(PredicateBackend):
         return IntSuccessorTable(program.successor_array(stmt))
 
     def table_from_array(self, succ, size: int) -> IntSuccessorTable:
-        # tolist() (not list()) when fed a numpy array — e.g. an arena view:
+        # tolist() (not list()) when fed a numpy array — e.g. a plan view:
         # list() would yield np.int64 elements, whose fixed width silently
         # truncates the big-int shifts in image() past 63 states.
         tolist = getattr(succ, "tolist", None)

@@ -96,9 +96,9 @@ class NumpyWordsBackend(PredicateBackend):
 
     def from_buffer(self, buf, size: int) -> "np.ndarray":
         # Zero-copy: the words array aliases the caller's buffer (e.g. a
-        # shared-memory arena slot).  Read-only both ways — np.frombuffer
+        # Φ-plan statics slot).  Read-only both ways — np.frombuffer
         # over a read-only memoryview yields a non-writeable array, which
-        # is exactly the invariant arena-backed predicates need.
+        # is exactly the invariant buffer-backed predicates need.
         view = memoryview(buf)
         if not view.readonly:
             view = view.toreadonly()
@@ -266,8 +266,8 @@ class NumpyWordsBackend(PredicateBackend):
 
         # eq. (13): K_V(body) resolves to body ∧ (wcyl.V.(x ⇒ body) ∨ ¬x),
         # one (B, W) matrix per knowledge term.  All plan data arrives
-        # through the plan interface, so arena-attached plans feed these
-        # kernels read-only views straight out of shared memory.
+        # through the plan interface, so every plan feeds these kernels
+        # read-only views straight out of its buffer.
         terms = []
         for position in range(len(plan.terms)):
             body = plan.term_body(self, position)

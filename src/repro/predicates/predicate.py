@@ -136,7 +136,7 @@ class Predicate:
     def words_view(self) -> memoryview:
         """The bitset as a read-only little-endian uint64-word buffer.
 
-        The canonical wire/arena form of an explicit predicate —
+        The canonical wire form of an explicit predicate —
         backend-independent layout, ``(size + 63) // 64 * 8`` bytes.
         Zero-copy on word-array backends (the view aliases the handle's
         storage); see :meth:`from_buffer` for the inverse.
@@ -151,8 +151,8 @@ class Predicate:
         """A predicate over ``space`` wrapping an exported words buffer.
 
         Zero-copy on word-array backends: the predicate's handle aliases
-        ``buf`` (the caller keeps it alive — e.g. an attached shared-memory
-        segment) and refuses writes.  ``backend`` defaults to the active
+        ``buf`` (the caller keeps it alive — e.g. a received plan buffer)
+        and refuses writes.  ``backend`` defaults to the active
         selection for ``space``'s size.
         """
         from .backends import backend_for_size

@@ -32,7 +32,6 @@ from .faults import (
     FaultClause,
     FaultPlan,
     FaultPlanError,
-    NetworkFaultPlan,
     SimulatedKill,
 )
 from .supervisor import (
@@ -57,7 +56,6 @@ __all__ = [
     "FaultPolicy",
     "JOURNAL_FORMAT",
     "JournalError",
-    "NetworkFaultPlan",
     "ShardJournal",
     "ShardRecord",
     "ShardSupervisor",

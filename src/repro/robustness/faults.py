@@ -30,10 +30,31 @@ Plan grammar (the ``REPRO_FAULT_PLAN`` environment variable)::
     chaos@7:crash=2:hang=1:seconds=0.5
                             seed 7 picks 2 crash shards and 1 hang shard
 
-``crash``/``hang``/``delay`` run inside worker processes; ``kill`` and
+Network kinds, for solves dispatched to ``python -m repro.worker``
+daemons (DESIGN.md §15)::
+
+    connrefused@0           the coordinator's connect to worker 0 is
+                            refused once (retries/backoff then reach the
+                            real daemon); targets a *worker index*
+    disconnect@2            the daemon drops the connection halfway
+                            through writing shard 2's result frame
+    stall@1:seconds=30      the daemon goes silent (no heartbeats, no
+                            result) for 30 s (default 20) before
+                            delivering shard 1
+    dupresult@3             shard 3's result frame is sent twice
+    corruptframe@2          shard 2's result body is sent with one bit
+                            flipped (the frame digest then fails)
+    netchaos@7:refused=1:disconnect=1:stall=1:dup=1:corrupt=1:seconds=20
+                            seed 7 picks targets for each count once the
+                            shard and worker counts are known
+
+``crash``/``hang``/``delay`` run inside worker processes and daemons
+(``crash@k`` on a daemon kills the whole daemon mid-shard); ``kill`` and
 ``torn`` are parent-side faults that simulate the whole solve being killed
 (they raise :class:`SimulatedKill`, which callers treat like SIGKILL — the
-checkpoint journal is what survives).
+checkpoint journal is what survives).  The scratch path travels inside
+the pickled fault plan, so a localhost daemon shares the coordinator's
+one-shot accounting; cross-host chaos would need a shared scratch mount.
 """
 
 from __future__ import annotations
@@ -53,15 +74,13 @@ CRASH_EXIT_STATUS = 66
 
 _WORKER_KINDS = ("crash", "hang", "delay")
 _PARENT_KINDS = ("kill", "torn")
-_KINDS = _WORKER_KINDS + _PARENT_KINDS + ("chaos",)
-
-#: Network fault kinds (NetworkFaultPlan): ``connrefused`` fires client-side
-#: in ``SocketTransport`` (targets a *worker index*); the rest fire inside
-#: the worker daemon around result delivery (targeting shard indices), and
-#: ``netchaos`` is the seeded picker over all of them.
-_NET_CLIENT_KINDS = ("connrefused",)
+#: Network kinds: ``connrefused`` fires client-side in ``SocketTransport``;
+#: the rest fire inside the worker daemon around result delivery.
 _NET_WORKER_KINDS = ("disconnect", "stall", "dupresult", "corruptframe")
-_NET_KINDS = _NET_CLIENT_KINDS + _NET_WORKER_KINDS + ("netchaos",)
+_KINDS = (
+    _WORKER_KINDS + _PARENT_KINDS + ("chaos", "connrefused")
+    + _NET_WORKER_KINDS + ("netchaos",)
+)
 
 
 class FaultPlanError(ValueError):
@@ -87,8 +106,9 @@ class SimulatedKill(BaseException):
 class FaultClause:
     """One injection: a kind, a target shard (or count), and parameters.
 
-    ``crashes``/``hangs`` are only meaningful on ``chaos`` clauses, whose
-    ``target`` is the PRNG seed rather than a shard index.
+    ``crashes``/``hangs`` are only meaningful on ``chaos`` clauses and the
+    network counts only on ``netchaos`` clauses; both take the PRNG seed
+    as ``target`` rather than a shard index.
     """
 
     kind: str
@@ -114,20 +134,18 @@ class FaultClause:
         return f"{self.kind}@{self.target}{suffix}"
 
 
-def _parse_clause(
-    text: str, kinds: Tuple[str, ...] = _KINDS
-) -> Tuple[str, int, Dict[str, float]]:
+def _parse_clause(text: str) -> Tuple[str, int, Dict[str, float]]:
     head, _, tail = text.partition(":")
     kind, at, target = head.partition("@")
     if not at:
         raise FaultPlanError(
             f"fault clause {text!r} has no '@': expected "
-            f"'<kind>@<target>[:k=v...]' with kind one of {', '.join(kinds)}"
+            f"'<kind>@<target>[:k=v...]' with kind one of {', '.join(_KINDS)}"
         )
-    if kind not in kinds:
+    if kind not in _KINDS:
         raise FaultPlanError(
             f"fault clause {text!r} names unknown fault kind {kind!r}; "
-            f"valid kinds are {', '.join(kinds)}"
+            f"valid kinds are {', '.join(_KINDS)}"
         )
     try:
         index = int(target)
@@ -159,16 +177,13 @@ class FaultPlan:
     clauses: Tuple[FaultClause, ...]
     scratch: str = field(default_factory=lambda: tempfile.mkdtemp(prefix="repro-faults-"))
 
-    #: valid clause kinds for this plan class (subclasses extend)
-    KINDS = _KINDS
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    @classmethod
+    @staticmethod
     def _build_clause(
-        cls, kind: str, target: int, params: Dict[str, float]
+        kind: str, target: int, params: Dict[str, float]
     ) -> FaultClause:
         if kind == "chaos":
             return FaultClause(
@@ -178,11 +193,23 @@ class FaultPlan:
                 crashes=int(params.get("crash", 1)),
                 hangs=int(params.get("hang", 0)),
             )
+        if kind == "netchaos":
+            return FaultClause(
+                kind="netchaos",
+                target=target,  # the seed
+                seconds=params.get("seconds", 20.0),
+                refused=int(params.get("refused", 0)),
+                disconnects=int(params.get("disconnect", 0)),
+                stalls=int(params.get("stall", 0)),
+                dups=int(params.get("dup", 0)),
+                corrupts=int(params.get("corrupt", 0)),
+            )
+        default_seconds = 20.0 if kind == "stall" else 0.0
         return FaultClause(
             kind=kind,
             target=target,
             times=int(params.get("times", 1)),
-            seconds=params.get("seconds", 0.0),
+            seconds=params.get("seconds") or default_seconds,
         )
 
     @classmethod
@@ -192,7 +219,7 @@ class FaultPlan:
             raw = raw.strip()
             if not raw:
                 continue
-            kind, target, params = _parse_clause(raw, cls.KINDS)
+            kind, target, params = _parse_clause(raw)
             clauses.append(cls._build_clause(kind, target, params))
         if scratch is None:
             return cls(clauses=tuple(clauses))
@@ -200,43 +227,54 @@ class FaultPlan:
 
     @classmethod
     def from_env(cls) -> Optional["FaultPlan"]:
-        """The plan named by ``REPRO_FAULT_PLAN``, or ``None`` when unset.
-
-        A plan that uses any network fault kind parses as
-        :class:`NetworkFaultPlan` so socket solves can inject network
-        faults straight from the environment.
-        """
+        """The plan named by ``REPRO_FAULT_PLAN``, or ``None`` when unset."""
         raw = os.environ.get(FAULT_PLAN_ENV_VAR)
         if not raw:
             return None
-        if cls is FaultPlan and any(
-            clause.strip().partition("@")[0] in _NET_KINDS
-            for clause in raw.split(";")
-        ):
-            return NetworkFaultPlan.parse(raw)
         return cls.parse(raw)
 
     def bind(self, shard_count: int, worker_count: int = 1) -> "FaultPlan":
-        """Resolve seeded ``chaos`` clauses into concrete shard targets.
+        """Resolve seeded ``chaos``/``netchaos`` clauses into concrete targets.
 
-        Deterministic: the clause's seed and the shard count fully determine
-        which indices are hit, independent of scheduling.  ``worker_count``
-        is unused here; :class:`NetworkFaultPlan` draws connection-level
-        targets from it.
+        Deterministic: shard-level kinds draw distinct shard indices and
+        ``connrefused`` draws worker indices, each from the clause's own
+        seeded PRNG, so the incident set is a pure function of
+        (seed, shard_count, worker_count), independent of scheduling.
         """
         bound = []
         for clause in self.clauses:
-            if clause.kind != "chaos":
-                bound.append(clause)
-                continue
-            rng = random.Random(clause.target)
-            want = min(clause.crashes + clause.hangs, shard_count)
-            picks = rng.sample(range(shard_count), want)
-            for i, index in enumerate(picks):
-                kind = "crash" if i < clause.crashes else "hang"
-                bound.append(
-                    FaultClause(kind=kind, target=index, seconds=clause.seconds)
+            if clause.kind == "chaos":
+                rng = random.Random(clause.target)
+                want = min(clause.crashes + clause.hangs, shard_count)
+                picks = rng.sample(range(shard_count), want)
+                for i, index in enumerate(picks):
+                    kind = "crash" if i < clause.crashes else "hang"
+                    bound.append(
+                        FaultClause(kind=kind, target=index, seconds=clause.seconds)
+                    )
+            elif clause.kind == "netchaos":
+                rng = random.Random(clause.target)
+                shard_kinds = (
+                    ["disconnect"] * clause.disconnects
+                    + ["stall"] * clause.stalls
+                    + ["dupresult"] * clause.dups
+                    + ["corruptframe"] * clause.corrupts
                 )
+                want = min(len(shard_kinds), shard_count)
+                picks = rng.sample(range(shard_count), want)
+                for kind, index in zip(shard_kinds, picks):
+                    bound.append(
+                        FaultClause(kind=kind, target=index, seconds=clause.seconds)
+                    )
+                for _ in range(min(clause.refused, worker_count)):
+                    bound.append(
+                        FaultClause(
+                            kind="connrefused",
+                            target=rng.randrange(worker_count),
+                        )
+                    )
+            else:
+                bound.append(clause)
         return replace(self, clauses=tuple(bound))
 
     # ------------------------------------------------------------------
@@ -312,97 +350,6 @@ class FaultPlan:
                     f"fault plan killed the solve after {completion_count} "
                     "journaled shards"
                 )
-
-
-@dataclass(frozen=True)
-class NetworkFaultPlan(FaultPlan):
-    """The PR-4 fault grammar extended with network failure modes.
-
-    All base kinds keep working (a worker daemon runs ``crash``/``hang``/
-    ``delay`` clauses inside its sweep exactly like a pool worker, so
-    ``crash@k`` kills the whole daemon mid-shard).  The new kinds::
-
-        connrefused@0            SocketTransport's connect to worker 0 is
-                                 refused once (client-side; retries/backoff
-                                 then reach the real daemon)
-        disconnect@2             the daemon drops the connection halfway
-                                 through writing shard 2's result frame
-        stall@1:seconds=30       the daemon goes silent (no heartbeats, no
-                                 result) for 30 s before delivering shard 1
-        dupresult@3              shard 3's result frame is sent twice
-        corruptframe@2           shard 2's result body is sent with one bit
-                                 flipped (the frame digest then fails)
-        netchaos@7:refused=1:disconnect=1:stall=1:dup=1:corrupt=1:seconds=20
-                                 seed 7 deterministically picks targets for
-                                 each count once shard/worker counts are
-                                 known (:meth:`bind`)
-
-    Like every clause, each fires at most ``times`` times via the marker
-    files in ``scratch`` — the scratch path travels inside the pickled
-    plan, so a localhost daemon shares the same one-shot accounting as the
-    coordinator.  (Cross-host chaos would need a shared scratch mount; the
-    chaos suite runs on localhost.)
-    """
-
-    KINDS = _KINDS + _NET_KINDS
-
-    @classmethod
-    def _build_clause(
-        cls, kind: str, target: int, params: Dict[str, float]
-    ) -> FaultClause:
-        if kind == "netchaos":
-            return FaultClause(
-                kind="netchaos",
-                target=target,  # the seed
-                seconds=params.get("seconds", 20.0),
-                refused=int(params.get("refused", 0)),
-                disconnects=int(params.get("disconnect", 0)),
-                stalls=int(params.get("stall", 0)),
-                dups=int(params.get("dup", 0)),
-                corrupts=int(params.get("corrupt", 0)),
-            )
-        if kind == "stall":
-            clause = super()._build_clause(kind, target, params)
-            if not clause.seconds:
-                clause = replace(clause, seconds=20.0)
-            return clause
-        return super()._build_clause(kind, target, params)
-
-    def bind(self, shard_count: int, worker_count: int = 1) -> "FaultPlan":
-        """Resolve ``chaos``/``netchaos`` seeds into concrete targets.
-
-        Shard-level kinds draw distinct shard indices, connection-level
-        ``connrefused`` draws worker indices — both from the clause's own
-        seeded PRNG, so the incident set is a pure function of
-        (seed, shard_count, worker_count).
-        """
-        base = super().bind(shard_count, worker_count)
-        bound = []
-        for clause in base.clauses:
-            if clause.kind != "netchaos":
-                bound.append(clause)
-                continue
-            rng = random.Random(clause.target)
-            shard_kinds = (
-                ["disconnect"] * clause.disconnects
-                + ["stall"] * clause.stalls
-                + ["dupresult"] * clause.dups
-                + ["corruptframe"] * clause.corrupts
-            )
-            want = min(len(shard_kinds), shard_count)
-            picks = rng.sample(range(shard_count), want)
-            for kind, index in zip(shard_kinds, picks):
-                bound.append(
-                    FaultClause(kind=kind, target=index, seconds=clause.seconds)
-                )
-            for _ in range(min(clause.refused, worker_count)):
-                bound.append(
-                    FaultClause(
-                        kind="connrefused",
-                        target=rng.randrange(worker_count),
-                    )
-                )
-        return replace(base, clauses=tuple(bound))
 
     # ------------------------------------------------------------------
     # client-side hook (SocketTransport)

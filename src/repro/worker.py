@@ -21,13 +21,13 @@ format of :mod:`repro.core.netproto`:
    re-derives the program digest from what it unpickled and refuses a
    mismatch: a worker never computes against a program other than the
    one it claims to serve;
-3. when the spec carries a plan layout, the daemon maps the
-   shared-memory segment it names (same host).  If that segment does not
-   resolve here, it answers ``need-plan`` and the coordinator sends a
-   ``plan`` frame whose body is the plan's raw buffer — the same bytes,
-   not a pickle — which the daemon decodes against the layout and
-   refuses, with an ``error`` frame that ends the session, when the
-   length or any successor or group id is out of range;
+3. when the spec carries a plan layout, the coordinator sends a ``plan``
+   frame right behind ``attach``, without waiting for an answer.  Its
+   body is the plan's raw buffer — the coordinator's compiled bytes, not
+   a pickle — which the daemon decodes against the layout and refuses,
+   with an ``error`` frame that ends the session, when the length or any
+   successor or group id is out of range.  Only then does it answer
+   ``attached``;
 4. each ``shard`` frame names ``(index, fixed_mask, attempt)``; the
    daemon sweeps it with the *same* ``ShardSweep.run`` a pool worker runs
    and answers a ``result`` frame keyed by that mask and attempt, sending
@@ -37,8 +37,7 @@ format of :mod:`repro.core.netproto`:
 Fault injection: the attach payload carries the solve's fault plan, so
 ``crash``/``hang``/``delay`` clauses fire inside the sweep exactly as
 they do in a pool worker (``crash`` kills the whole daemon — the real
-"worker machine died" case), and
-:class:`~repro.robustness.faults.NetworkFaultPlan` clauses fire around
+"worker machine died" case), and the plan's network clauses fire around
 result delivery: ``stall`` silences heartbeats past the client deadline,
 ``disconnect`` tears the result frame mid-transfer, ``dupresult`` sends
 it twice, ``corruptframe`` flips a body bit under an honest digest.
@@ -55,7 +54,7 @@ import signal
 import socket
 import sys
 import threading
-from typing import Any, Optional
+from typing import Optional
 
 from .core import parallel
 from .core.netproto import (
@@ -71,7 +70,6 @@ from .core.netproto import (
     recv_frame,
     send_frame,
 )
-from .predicates.arena import attach_plan
 from .predicates.backends import set_default_backend
 from .predicates.backends.batch import PhiPlan, PlanDecodeError
 
@@ -146,7 +144,6 @@ class Session:
         self.wfile = conn.makefile("wb")
         self.write_lock = threading.Lock()
         self.heartbeat_interval = 0.5
-        self.net_plan: Optional[Any] = None
         self.sweep: Optional[parallel.ShardSweep] = None
 
     def log(self, message: str) -> None:
@@ -193,8 +190,6 @@ class Session:
             # coordinator fails fast instead of waiting out its deadline.
             self.fail(f"worker internal error: {exc!r}")
         finally:
-            if self.sweep is not None:
-                self.sweep.close()  # unmap an attached arena before gc sees it
             for stream in (self.rfile, self.wfile, self.conn):
                 try:
                     stream.close()
@@ -280,28 +275,17 @@ class Session:
 
         if spec.backend_selection is not None:
             set_default_backend(spec.backend_selection)
-        # Plan acquisition: arena by name when the segment resolves on this
-        # host, the shipped bytes otherwise — never a local recompile, so
-        # the worker computes over exactly the coordinator's plan.
+        # The coordinator's plan bytes, never a local recompile, so the
+        # worker computes over exactly the coordinator's plan.
         plan = None
-        mode = "resolver"
         if spec.plan_layout is not None:
-            plan = attach_plan(spec.plan_layout, spec.program.space)
-            mode = "arena"
-            if plan is None:
-                plan, mode = self._receive_plan(actual, spec), "payload"
-        if hasattr(spec.fault_plan, "before_result"):
-            self.net_plan = spec.fault_plan
+            plan = self._receive_plan(spec)
         self.sweep = parallel.ShardSweep(spec, plan)
-        self.send(
-            "attached",
-            {"program": actual, "mode": mode, "protocol": WORKER_PROTOCOL},
-        )
-        self.log(f"attached to {actual} (mode={mode})")
+        self.send("attached", {"program": actual, "protocol": WORKER_PROTOCOL})
+        self.log(f"attached to {actual}")
 
-    def _receive_plan(self, program_digest: str, spec) -> PhiPlan:
-        """Ask the coordinator for the Φ plan's bytes; decode them."""
-        self.send("need-plan", {"program": program_digest})
+    def _receive_plan(self, spec) -> PhiPlan:
+        """Read the ``plan`` frame that follows ``attach``; decode it."""
         try:
             header, body, _n = recv_frame(self.rfile)
         except FrameError:
@@ -335,11 +319,8 @@ class Session:
     def _deliver(
         self, index: int, fixed_mask: int, attempt: int, body: bytes
     ) -> None:
-        fired = (
-            self.net_plan.before_result(index)
-            if self.net_plan is not None
-            else ()
-        )
+        fault_plan = self.sweep.spec.fault_plan
+        fired = fault_plan.before_result(index) if fault_plan is not None else ()
         kinds = {clause.kind for clause in fired}
         for clause in fired:
             if clause.kind == "stall":

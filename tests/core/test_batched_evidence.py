@@ -8,7 +8,7 @@ Certificates stay byte-identical only if the two agree payload for payload
 on every candidate — checked here for every candidate of the batchable
 registry models and of random batchable KBPs, on the int and numpy
 kernels, and on int, numpy and robdd for the plan over its compiled bytes
-and over a shared-memory mapping.
+and over a decoded copy of them (what pool processes and daemons hold).
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from repro.core.kbp import (
     _supersets_of,
 )
 from repro.predicates import Predicate, using_backend
-from repro.predicates.arena import SolveArena, attach_plan
 from repro.predicates.backends import get_backend
+from repro.predicates.backends.batch import PhiPlan
 from repro.statespace import BoolDomain, IntRangeDomain, space_of
 from repro.unity import GuardDomainError, Program, Statement, const, knows, var
 
 from .test_parallel import random_kbps
-from .test_socket_transport import unresolvable_arena
 
 #: The batchable knowledge-based registry models (all small enough to
 #: check every candidate) and two members of the kbp24 family.
@@ -78,18 +77,14 @@ def test_registry_model_evidence_matches_resolver(key, backend_name):
 
 @pytest.mark.parametrize("backend_name", ["int", "numpy", "robdd"])
 @pytest.mark.parametrize("key", ["fig2", "kbp24-f8"])
-def test_arena_attached_plan_evidence_matches_resolver(key, backend_name):
-    """Both homes of the one plan class: compiled bytes and shm mapping."""
+def test_decoded_plan_evidence_matches_resolver(key, backend_name):
+    """Both homes of the one plan class: compiled bytes and a copy."""
     program = build_model(key).program
     compiled = compile_phi_plan(program)
     _assert_rows_give_resolver_evidence(program, compiled, backend_name)
-    arena = SolveArena.build(compiled, "0" * 12)
-    plan = attach_plan(arena.layout, program.space)
-    try:
-        _assert_rows_give_resolver_evidence(program, plan, backend_name)
-    finally:
-        plan.close()
-        arena.close(unlink=True)
+    copy = bytes(bytearray(compiled.buffer))
+    plan = PhiPlan(compiled.layout, program.space, copy)
+    _assert_rows_give_resolver_evidence(program, plan, backend_name)
 
 
 @settings(max_examples=25, deadline=None)
@@ -119,31 +114,23 @@ def test_certified_sweep_takes_the_resolver_for_solutions_only(monkeypatch):
 
 @pytest.mark.parametrize("key", ["fig2", "kbp24-f8"])
 def test_certified_pool_and_daemon_ship_plans_and_match_serial(
-    key, spawn_worker, monkeypatch
+    key, spawn_worker
 ):
     """Certified sweeps run the kernel in pool processes and socket
-    workers — on the arena mapping and on shipped plan bytes — and still
+    workers — each holding its own copy of the plan bytes — and still
     reproduce the serial certificate."""
     program = build_model(key).program
     serial = solve_si(program, emit_certificate=True, parallel="never")
     want = canonical_dumps(serial.certificate.to_payload())
     _proc, address = spawn_worker("w")
     pool = solve_si_parallel(program, workers=2, emit_certificate=True)
-    arena = solve_si_parallel(
+    daemon = solve_si_parallel(
         program, emit_certificate=True, remote_workers=[address]
     )
-    unresolvable_arena(monkeypatch)
-    payload = solve_si_parallel(
-        program, emit_certificate=True, remote_workers=[address]
-    )
-    for report in (pool, arena, payload):
+    for report in (pool, daemon):
         assert canonical_dumps(report.certificate.to_payload()) == want
-    # Arena mode: the daemon mapped the segment, no plan bytes shipped.
-    assert arena.dispatch.arena_bytes > 0
-    assert arena.dispatch.plan_payload_bytes == 0
-    # Payload mode: the segment did not resolve, so the plan buffer was
-    # shipped whole.
-    assert payload.dispatch.plan_payload_bytes == (
+    # One attach, one ``plan`` frame: the plan buffer shipped whole.
+    assert daemon.dispatch.plan_payload_bytes == (
         compile_phi_plan(program).layout.total_bytes
     )
 

@@ -21,8 +21,6 @@ def stats(draw):
         shards_dispatched=draw(counts),
         bytes_dispatched=draw(counts),
         init_bytes=draw(counts),
-        arena_bytes=draw(counts),
-        arena_segments=draw(st.integers(0, 64)),
         worker_peak_rss_kb=draw(counts),
         transports=draw(
             st.lists(

@@ -1,4 +1,4 @@
-"""SocketTransport against live worker daemons: attach modes, degradation.
+"""SocketTransport against live worker daemons: attach, degradation.
 
 Every test here runs real ``python -m repro.worker`` subprocesses (the
 ``spawn_worker`` factory in the top-level conftest) — the protocol is
@@ -14,7 +14,6 @@ import socket
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 import pytest
 
@@ -90,28 +89,6 @@ def assert_same_report(reference, report):
     assert report.candidates_checked == reference.candidates_checked
 
 
-#: A shared-memory segment name that resolves nowhere.
-GHOST_SEGMENT = "repro-arena-feedbeef-1-404"
-
-
-def unresolvable_arena(monkeypatch) -> None:
-    """Hand socket workers a plan layout whose segment does not resolve.
-
-    That is what a daemon on another host sees, so every daemon takes the
-    payload route: it answers ``need-plan`` and receives the plan bytes.
-    """
-    from repro.core import parallel
-
-    real = parallel.SocketTransport
-
-    def transport(addresses, *, spec, **kwargs):
-        layout = replace(spec.plan_layout, segment=GHOST_SEGMENT)
-        spec = replace(spec, plan_layout=layout)
-        return real(addresses, spec=spec, **kwargs)
-
-    monkeypatch.setattr(parallel, "SocketTransport", transport)
-
-
 def dead_address() -> str:
     """A localhost address that refuses connections right now."""
     probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -176,20 +153,11 @@ class TestSocketSolve:
         assert_same_report(serial_report, report)
         assert report.dispatch.transports == ["socket"]
 
-    def test_arena_mode_ships_no_plan_payload(self, kbp, spawn_worker):
-        """Localhost daemons map the arena by name: zero payload bytes."""
-        _, addr = spawn_worker()
-        report = solve_si_parallel(kbp, remote_workers=[addr])
-        assert report.dispatch.plan_payload_bytes == 0
-        assert report.dispatch.arena_bytes > 0
-
-    def test_payload_fallback_when_arena_unreachable(
-        self, kbp, spawn_worker, monkeypatch
-    ):
-        """No arena segment to map — the plan's raw bytes travel by value."""
+    def test_plan_ships_by_value(self, kbp, spawn_worker):
+        """Every attach is followed by one ``plan`` frame carrying the
+        compiled plan's raw bytes, same host or not."""
         certified = solve_si(kbp, parallel="never", emit_certificate=True)
         in_process = solve_si_parallel(kbp, workers=1)
-        unresolvable_arena(monkeypatch)
         _, addr = spawn_worker()
         report = solve_si_parallel(
             kbp, remote_workers=[addr], emit_certificate=True
@@ -201,6 +169,31 @@ class TestSocketSolve:
         assert canonical_dumps(report.certificate.to_payload()) == (
             canonical_dumps(certified.certificate.to_payload())
         )
+
+    def test_planless_program_attaches_without_a_plan(self, spawn_worker):
+        """A program the compiler cannot lower (nested knowledge) sends no
+        ``plan`` frame; the daemon sweeps it on its resolver."""
+        space = space_of(a=BoolDomain(), b=BoolDomain())
+        program = Program(
+            space,
+            Predicate(space, 1),
+            [
+                Statement(
+                    name="s",
+                    targets=("a",),
+                    exprs=(Const(True),),
+                    guard=knows("P", knows("Q", Var("b"))),
+                )
+            ],
+            processes={"P": ("a",), "Q": ("b",)},
+            name="nested-kbp",
+        )
+        assert compile_phi_plan(program) is None
+        _, addr = spawn_worker()
+        report = solve_si_parallel(program, remote_workers=[addr])
+        assert_same_report(solve_si(program, parallel="never"), report)
+        assert report.dispatch.transports == ["socket"]
+        assert report.dispatch.plan_payload_bytes == 0
 
     def test_certificates_byte_identical_over_sockets(self, kbp, spawn_worker):
         reference = solve_si(kbp, parallel="never", emit_certificate=True)
@@ -327,9 +320,10 @@ class TestSessionHygiene:
 
     @pytest.mark.parametrize("damage", ["short", "long", "successor", "group"])
     def test_bad_plan_body_earns_error_frame(self, kbp, spawn_worker, damage):
-        """The payload route decodes raw plan bytes and fails closed: a
-        body of the wrong length, or with a successor or group id out of
-        range, earns an 'error' frame and ends the session."""
+        """The daemon decodes the raw plan bytes that follow ``attach``
+        and fails closed: a body of the wrong length, or with a successor
+        or group id out of range, earns an 'error' frame and ends the
+        session."""
         from repro.certificates.canonical import program_digest
         from repro.core.parallel import SweepSpec
 
@@ -355,7 +349,7 @@ class TestSessionHygiene:
             emit_certificate=False,
             any_solution=False,
             batch_size=64,
-            plan_layout=replace(layout, segment=GHOST_SEGMENT),
+            plan_layout=layout,
         )
         _, addr = spawn_worker()
         sock, rfile, wfile = self._connect(addr)
@@ -367,8 +361,6 @@ class TestSessionHygiene:
                 {"program": program_digest(kbp), "protocol": WORKER_PROTOCOL},
                 pickle.dumps(spec),
             )
-            header, _body, _n = recv_frame(rfile)
-            assert header["type"] == "need-plan"
             send_frame(wfile, "plan", {}, bytes(body))
             header, _body, _n = recv_frame(rfile)
             assert header["type"] == "error"
@@ -428,6 +420,26 @@ class TestTransportInternals:
         with pytest.raises(BrokenProcessPool):
             queued.result(timeout=1)
 
+    @pytest.mark.parametrize("closed", ["closed-socket", "no-socket"])
+    def test_await_on_a_closed_link_breaks_the_link(self, closed):
+        """Teardown can close a link while its serving thread is between
+        shards; the next wait must raise _LinkBroken (the link-loss path),
+        never kill the thread with OSError or AttributeError."""
+        from repro.core.transport import _LinkBroken
+
+        transport = self._bare_transport()
+        transport.timeout = 1.0
+        link = _WorkerLink(0, "127.0.0.1:1")
+        if closed == "closed-socket":  # closed, attributes not yet cleared
+            link.sock, peer = socket.socketpair()
+            link.rfile = link.sock.makefile("rb")
+            peer.close()
+            link.rfile.close()
+            link.sock.close()
+        task = _SocketTask(0, 0b1, 1, Future())
+        with pytest.raises(_LinkBroken):
+            transport._await_result(link, task)
+
     def test_revoked_lease_names_the_shard(self):
         transport = self._bare_transport()
         lost = _WorkerLink(0, "127.0.0.1:1")
@@ -440,21 +452,3 @@ class TestTransportInternals:
             task.future.result(timeout=1)
         assert excinfo.value.shard_index == 3
         assert excinfo.value.fixed_mask == 0b101
-
-
-class TestTryAttach:
-    def test_missing_segment_answers_none(self, kbp):
-        from repro.predicates.arena import SolveArena, attach_plan
-
-        plan = compile_phi_plan(kbp)
-        arena = SolveArena.build(plan, "test-digest")
-        try:
-            attached = attach_plan(arena.layout, kbp.space)
-            assert attached is not None
-            attached.close()
-            ghost = replace(arena.layout, segment=GHOST_SEGMENT)
-            assert attach_plan(ghost, kbp.space) is None
-            # The compiled layout names no segment at all.
-            assert attach_plan(plan.layout, kbp.space) is None
-        finally:
-            arena.close()

@@ -2,10 +2,10 @@
 
 ``words_view`` exports a predicate's packed little-endian word image as a
 read-only buffer; ``from_buffer`` reconstructs a predicate over that
-buffer *without copying* on the numpy backend.  The arena relies on the
-round trip being exact on every backend and on the reconstructed
-predicates refusing writes — a worker scribbling on a shared segment
-would corrupt every sibling's reads.
+buffer *without copying* on the numpy backend.  Φ-plan handles rely on
+the round trip being exact on every backend and on the reconstructed
+predicates refusing writes — a kernel scribbling on a plan's statics
+would corrupt every later candidate's reads.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class TestReadOnly:
         handle = numpy_backend.from_buffer(memoryview(backing), space.size)
         assert int(handle[0]) == 0b101
         # Same memory, not a copy: mutating the backing store shows
-        # through the handle (the arena's segment is the one writer).
+        # through the handle (the buffer's owner is the one writer).
         backing[0] = 0b111
         assert int(handle[0]) == 0b111
         assert np.shares_memory(
